@@ -1,18 +1,18 @@
 # Development targets. `make ci` is the full gate: formatting, vet,
 # build, the test suite under the race detector (the observability
 # layer, the parallel sweep runner and the partitioned wake engine are
-# concurrency-safe by contract, so races are release blockers), a short
-# fuzz of the topology spec parser, the docs checks, and race-
-# instrumented smokes of the parallel sweep runner and the sharded
-# engine end to end.
+# concurrency-safe by contract, so races are release blockers), the
+# benchmark module's tests (its golden cross-checks), a short fuzz of
+# the topology spec parser, the docs checks, and race-instrumented
+# smokes of the parallel sweep runner and the sharded engine end to end.
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-micro bench-micro-smoke \
+.PHONY: ci fmt vet build test race benchmark-test bench bench-micro bench-micro-smoke \
 	fuzz-smoke topo-dot docs-check arch-dot sweep-smoke sweep-small \
 	staticcheck timeline-smoke comm-smoke flow-smoke shard-smoke scale-smoke
 
-ci: fmt vet staticcheck build race fuzz-smoke docs-check bench-micro-smoke \
+ci: fmt vet staticcheck build race benchmark-test fuzz-smoke docs-check bench-micro-smoke \
 	sweep-smoke timeline-smoke comm-smoke flow-smoke shard-smoke scale-smoke
 
 fmt:
@@ -40,13 +40,21 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The benchmark is a module of its own (benchmark/go.mod), so the root
+# ./... patterns skip it; its tests re-check the committed goldens
+# against the simulator's current sources. -short skips full-size cells.
+benchmark-test:
+	cd benchmark && $(GO) test -short ./...
+
 bench:
 	$(GO) test -bench=. -benchmem ./internal/obs/ ./...
 
 # The engine/queue/scheduler/fabric hot-path micro-benchmarks that the
-# wake-scheduled engine work is measured by. `bench-micro` gives real
-# numbers; `bench-micro-smoke` (in ci) just proves they still compile,
-# run, and hold their 0 allocs/op pins.
+# wake-scheduled engine work is measured by, plus the flow backend's
+# set-up and solve costs (network compilation at 512 GPUs, plan
+# generation, one alltoall solve). `bench-micro` gives real numbers;
+# `bench-micro-smoke` (in ci) just proves they still compile, run, and
+# hold their 0 allocs/op pins.
 bench-micro:
 	$(GO) test -run='^$$' -bench='BenchmarkEngine|BenchmarkQueue|BenchmarkScheduler' \
 		-benchmem -count=3 ./internal/sim
@@ -58,6 +66,10 @@ bench-micro:
 		-benchmem -count=3 ./internal/obs/timeline
 	$(GO) test -run='^$$' -bench='BenchmarkShard' \
 		-benchmem -count=3 ./internal/shard
+	$(GO) test -run='^$$' -bench='BenchmarkNewNetwork|BenchmarkFlowRun' \
+		-benchmem -count=3 ./internal/flow
+	$(GO) test -run='^$$' -bench='BenchmarkCommGen' \
+		-benchmem -count=3 ./internal/comm
 
 bench-micro-smoke:
 	$(GO) test -run='NoAllocs' -bench='BenchmarkEngine|BenchmarkQueue|BenchmarkScheduler' \
@@ -70,6 +82,10 @@ bench-micro-smoke:
 		-benchmem -count=1 -benchtime=100x ./internal/obs/timeline
 	$(GO) test -run='NoAllocs' -bench='BenchmarkShard' \
 		-benchmem -count=1 -benchtime=100x ./internal/shard
+	$(GO) test -run='^$$' -bench='BenchmarkNewNetwork|BenchmarkFlowRun' \
+		-benchmem -count=1 -benchtime=10x ./internal/flow
+	$(GO) test -run='^$$' -bench='BenchmarkCommGen' \
+		-benchmem -count=1 -benchtime=10x ./internal/comm
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzTopoParse -fuzztime=5s -run='^$$' ./internal/topo

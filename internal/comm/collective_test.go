@@ -115,6 +115,35 @@ func TestChunkingPreservesTotals(t *testing.T) {
 	}
 }
 
+// TestPlansPresized: every generator sizes its send slice exactly, so
+// generation never regrows it. The scales cover chunked and unchunked
+// transfers, chunk sizes that do and do not divide the transfer, and
+// totals too small to give every shard a line (zero-byte shards, which
+// generate no send).
+func TestPlansPresized(t *testing.T) {
+	scales := []Scale{
+		Tiny(),
+		Small(),
+		{Bytes: 100_000, ChunkBytes: 3000, Seed: 1},
+		{Bytes: 200, Seed: 1},
+		{Bytes: 200, ChunkBytes: 64, Seed: 1},
+	}
+	for _, name := range Names() {
+		for _, n := range []int{2, 3, 5, 8, 64} {
+			for si, sc := range scales {
+				sc.GPUs = n
+				p, err := ByName(name, sc)
+				if err != nil {
+					t.Fatalf("%s N=%d scale %d: %v", name, n, si, err)
+				}
+				if cap(p.Sends) != len(p.Sends) {
+					t.Errorf("%s N=%d scale %d: cap(Sends) = %d, len = %d", name, n, si, cap(p.Sends), len(p.Sends))
+				}
+			}
+		}
+	}
+}
+
 // TestCollectiveDeterminism: generation is a pure function of the
 // scale.
 func TestCollectiveDeterminism(t *testing.T) {

@@ -286,6 +286,33 @@ func splitBytes(total, n int) []int {
 	return out
 }
 
+// chunks is how many sends chunked appends for a transfer of bytes:
+// none for an empty transfer, else ceil(bytes/chunk) (one when chunk
+// is unset or at least bytes).
+func chunks(bytes, chunk int) int {
+	switch {
+	case bytes <= 0:
+		return 0
+	case chunk <= 0 || chunk >= bytes:
+		return 1
+	}
+	return (bytes + chunk - 1) / chunk
+}
+
+// sumChunks is chunks summed over transfers of each size in sizes.
+func sumChunks(sizes []int, chunk int) int {
+	total := 0
+	for _, b := range sizes {
+		total += chunks(b, chunk)
+	}
+	return total
+}
+
+// presized returns an empty send slice with room for exactly n sends,
+// the count a generator's loops will append (a negative knob such as
+// Micro makes those loops append nothing).
+func presized(n int) []Send { return make([]Send, 0, max(n, 0)) }
+
 // chunked appends the send split into ChunkBytes pieces (same step, so
 // chunks of one logical transfer pipeline freely within the step).
 func chunked(sends []Send, s Send, chunk int) []Send {

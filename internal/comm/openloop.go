@@ -81,7 +81,11 @@ func buildServeBurst(sc Scale) (*Plan, error) {
 // timestamps.
 func expandRequests(name string, sc Scale, arrivals []int64, rng *sim.Rand) *Plan {
 	n := sc.GPUs
-	p := &Plan{Name: name, GPUs: n}
+	p := &Plan{
+		Name: name, GPUs: n,
+		Sends:    presized(len(arrivals) * sc.KVBlocks * chunks(sc.KVBytes, sc.ChunkBytes)),
+		Requests: make([]Request, 0, len(arrivals)),
+	}
 	for r, at := range arrivals {
 		serve := rng.Intn(n)
 		total := 0

@@ -12,10 +12,12 @@
 // A topology graph compiles (NewNetwork) into directed wire segments —
 // one per link direction, capacity = flits/cycle x flit bytes — plus
 // one injection segment per device modeling the source's
-// LinesPerCycle packetization cap. Every send of a plan becomes a
-// flow over the precomputed shortest path between its endpoints (the
-// same BFS next-hop tables the cycle engine installs in its
-// switches), weighted by its on-wire footprint: request headers round
+// LinesPerCycle packetization cap, and one route from every switch
+// that has devices attached to every device (the same BFS next-hop
+// tables the cycle engine installs in its switches). Every send of a
+// plan becomes a flow over its source's uplink plus its source
+// switch's route to the destination, weighted by its on-wire
+// footprint: request headers round
 // each 64-byte line up to 80 forward wire bytes at 16-byte flits, and
 // each line's acknowledgment occupies one response flit on the
 // reverse path, so ack contention on shared back-channels is part of

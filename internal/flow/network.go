@@ -41,22 +41,12 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// path is one device pair's precomputed route: the directed wire
-// segments the payload crosses (fwd), the segments the per-line
-// acknowledgments cross back (rev), and the round-trip propagation
-// latency — the offset between a flow's last byte entering the wire
-// and its last acknowledgment returning.
-type path struct {
-	fwd []int32
-	rev []int32
-	lat float64
-}
-
 // Network is the analytic form of a validated topology graph: one
 // capacity-annotated segment per link direction plus one injection
-// segment per device, and a routed path for every ordered device pair
-// (the same BFS next-hop tables the cycle engine installs in its
-// switches). A Network is immutable after NewNetwork and safe for
+// segment per device, and one compiled route from every device-bearing
+// switch to every device (the same BFS next-hop tables the cycle engine
+// installs in its switches). A send's path is composed from these at
+// use: see legs. A Network is immutable after NewNetwork and safe for
 // concurrent use; each Run allocates private solver state.
 type Network struct {
 	opt  Options
@@ -66,100 +56,170 @@ type Network struct {
 	// entries, from injBase) in payload bytes per cycle.
 	cap     []float64
 	injBase int
-	// paths holds the route for src*nDev+dst; src==dst entries are
-	// zero (self-sends never touch the network).
-	paths []path
+	// up[d] is device d's uplink segment (its single link, toward its
+	// attach switch) and upLat[d] that link's latency.
+	up    []int32
+	upLat []float64
+	// row[d] is the first route index of device d's attach switch:
+	// route row[d]+t runs from that switch to device t.
+	row []int32
+	// Route r's segments are arena[routeOff[r]:routeOff[r+1]] and its
+	// latency (links plus one hop-cycle per switch left) is routeLat[r].
+	routeOff []int32
+	routeLat []float64
+	arena    []int32
 }
 
-// NewNetwork compiles a topology graph into its analytic form. The
-// graph is validated first (via NextHops), so the same structural
-// guarantees the cycle engine builds on hold here: every device has
-// exactly one same-cluster switch attachment and every switch routes
-// to every device.
+// legs is one send's pair of compiled routes. The payload crosses the
+// source's uplink, then route fwd from the source's attach switch to the
+// destination; the per-line acknowledgments cross the destination's
+// uplink, then route rev back to the source. Within one leg a directed
+// segment appears at most once.
+type legs struct{ fwd, rev int32 }
+
+func (n *Network) legs(src, dst int) legs {
+	return legs{fwd: n.row[src] + int32(dst), rev: n.row[dst] + int32(src)}
+}
+
+// segs returns route r's segments, in traversal order.
+func (n *Network) segs(r int32) []int32 { return n.arena[n.routeOff[r]:n.routeOff[r+1]] }
+
+// rtt is the round-trip propagation latency of a src->dst send: the
+// offset between its last byte entering the wire and its last
+// acknowledgment returning.
+func (n *Network) rtt(src, dst int, lg legs) float64 {
+	return n.upLat[src] + n.routeLat[lg.fwd] + n.upLat[dst] + n.routeLat[lg.rev]
+}
+
+// NewNetwork compiles a topology graph into its analytic form from the
+// graph's int routing table (topo.Routes, which validates first), so the
+// same structural guarantees the cycle engine builds on hold here: every
+// device has exactly one same-cluster switch attachment and every switch
+// routes to every device. Compilation walks one route per (device-bearing
+// switch, destination device), not one per device pair.
 func NewNetwork(g *topo.Graph, opt Options) (*Network, error) {
 	opt = opt.WithDefaults()
-	hops, err := g.NextHops()
+	rt, err := g.Routes()
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{opt: opt, nDev: len(g.Devices)}
+	nDev, nSw, nLinks := rt.NumDevices(), rt.NumSwitches(), len(g.Links)
+	n := &Network{
+		opt:   opt,
+		nDev:  nDev,
+		cap:   make([]float64, 0, 2*nLinks+nDev),
+		up:    make([]int32, nDev),
+		upLat: make([]float64, nDev),
+		row:   make([]int32, nDev),
+	}
 	fb := float64(opt.FlitBytes)
 
-	type dirSeg struct {
-		id  int32
-		lat float64
-	}
-	segOf := make(map[[2]string]dirSeg, 2*len(g.Links))
-	for _, l := range g.Links {
-		segOf[[2]string{l.A, l.B}] = dirSeg{int32(len(n.cap)), float64(l.Latency)}
-		n.cap = append(n.cap, float64(l.RateAB())*fb)
-		segOf[[2]string{l.B, l.A}] = dirSeg{int32(len(n.cap)), float64(l.Latency)}
-		n.cap = append(n.cap, float64(l.RateBA())*fb)
+	// Link i's A->B direction is segment 2i, its B->A direction 2i+1;
+	// both carry the link's latency. Out-edges per node in CSR form:
+	// node v's are outSeg/outPeer over [outStart[v], outStart[v+1]).
+	segLat := func(sg int32) float64 { return float64(g.Links[sg/2].Latency) }
+	outStart := make([]int32, rt.NumNodes()+1)
+	for i, l := range g.Links {
+		n.cap = append(n.cap, float64(l.RateAB())*fb, float64(l.RateBA())*fb)
+		a, b := rt.LinkNodes(i)
+		outStart[a+1]++
+		outStart[b+1]++
 	}
 	n.injBase = len(n.cap)
 	for range g.Devices {
 		n.cap = append(n.cap, float64(opt.LinesPerCycle)*comm.LineBytes)
 	}
-
-	isDev := make(map[string]bool, len(g.Devices))
-	for _, d := range g.Devices {
-		isDev[d.Name] = true
+	for v := 1; v < len(outStart); v++ {
+		outStart[v] += outStart[v-1]
 	}
-	// attach[device] = the switch its single attachment link reaches
-	// (validation guarantees exactly one, on the device's own cluster).
-	attach := make(map[string]string, len(g.Devices))
-	for _, l := range g.Links {
-		switch {
-		case isDev[l.A]:
-			attach[l.A] = l.B
-		case isDev[l.B]:
-			attach[l.B] = l.A
+	outSeg := make([]int32, 2*nLinks)
+	outPeer := make([]int32, 2*nLinks)
+	cursor := append([]int32(nil), outStart[:len(outStart)-1]...)
+	for i := range g.Links {
+		a, b := rt.LinkNodes(i)
+		outSeg[cursor[a]], outPeer[cursor[a]] = int32(2*i), b
+		cursor[a]++
+		outSeg[cursor[b]], outPeer[cursor[b]] = int32(2*i+1), a
+		cursor[b]++
+	}
+
+	// Device uplinks and attach switches; validation guarantees each
+	// device has exactly one link, to a switch.
+	attach := make([]int, nDev)
+	for d := 0; d < nDev; d++ {
+		k := outStart[d]
+		n.up[d], n.upLat[d] = outSeg[k], segLat(outSeg[k])
+		attach[d] = rt.SwitchOrdinal(outPeer[k])
+	}
+
+	// nextSeg[s*nDev+d] is the segment switch s forwards toward device d
+	// on: Routing's next-hop table with each hop resolved to the link
+	// direction that reaches it. segTo is per-switch scratch, indexed by
+	// neighbor node ID.
+	nextSeg := make([]int32, nSw*nDev)
+	segTo := make([]int32, rt.NumNodes())
+	for i := range segTo {
+		segTo[i] = -1
+	}
+	for s := 0; s < nSw; s++ {
+		sn := rt.SwitchNode(s)
+		out := outStart[sn]
+		end := outStart[sn+1]
+		for k := out; k < end; k++ {
+			segTo[outPeer[k]] = outSeg[k]
+		}
+		for d := 0; d < nDev; d++ {
+			sg := segTo[rt.NextHop(s, d)]
+			if sg < 0 {
+				return nil, fmt.Errorf("flow: switch %s routes to %s over a non-neighbor",
+					rt.NodeName(sn), rt.NodeName(rt.DeviceNode(d)))
+			}
+			nextSeg[s*nDev+d] = sg
+		}
+		for k := out; k < end; k++ {
+			segTo[outPeer[k]] = -1
 		}
 	}
 
+	// One route per (device-bearing switch, destination), rows in order
+	// of each switch's first attached device.
+	rowOf := make([]int32, nSw)
+	for s := range rowOf {
+		rowOf[s] = -1
+	}
+	var rowDev []int // first device attached to each row's switch
+	for d, s := range attach {
+		if rowOf[s] < 0 {
+			rowOf[s] = int32(len(rowDev) * nDev)
+			rowDev = append(rowDev, d)
+		}
+		n.row[d] = rowOf[s]
+	}
+	nRoutes := len(rowDev) * nDev
+	n.routeOff = make([]int32, 1, nRoutes+1)
+	n.routeLat = make([]float64, 0, nRoutes)
+	n.arena = make([]int32, 0, 4*nRoutes)
 	hopLat := float64(opt.HopCycles)
-	walk := func(src, dst int) ([]int32, float64, error) {
-		srcName, dstName := g.Devices[src].Name, g.Devices[dst].Name
-		segs := make([]int32, 0, 4)
-		lat := 0.0
-		cur, next := srcName, attach[srcName]
-		for steps := 0; ; steps++ {
-			if steps > len(g.Switches)+1 {
-				return nil, 0, fmt.Errorf("flow: routing loop between %s and %s", srcName, dstName)
+	for _, d0 := range rowDev {
+		for t := 0; t < nDev; t++ {
+			dst := rt.DeviceNode(t)
+			lat := 0.0
+			for s, steps := attach[d0], 0; ; steps++ {
+				if steps > nSw {
+					return nil, fmt.Errorf("flow: routing loop between %s and %s",
+						g.Devices[d0].Name, g.Devices[t].Name)
+				}
+				sg := nextSeg[s*nDev+t]
+				n.arena = append(n.arena, sg)
+				lat += hopLat + segLat(sg)
+				nh := rt.NextHop(s, t)
+				if nh == dst {
+					break
+				}
+				s = rt.SwitchOrdinal(nh)
 			}
-			ds, ok := segOf[[2]string{cur, next}]
-			if !ok {
-				return nil, 0, fmt.Errorf("flow: no link %s-%s on the %s->%s route", cur, next, srcName, dstName)
-			}
-			segs = append(segs, ds.id)
-			lat += ds.lat
-			if next == dstName {
-				return segs, lat, nil
-			}
-			lat += hopLat
-			nh, ok := hops[next][dstName]
-			if !ok {
-				return nil, 0, fmt.Errorf("flow: switch %s has no route to %s", next, dstName)
-			}
-			cur, next = next, nh
-		}
-	}
-
-	n.paths = make([]path, n.nDev*n.nDev)
-	for src := 0; src < n.nDev; src++ {
-		for dst := 0; dst < n.nDev; dst++ {
-			if src == dst {
-				continue
-			}
-			fwd, latF, err := walk(src, dst)
-			if err != nil {
-				return nil, err
-			}
-			rev, latR, err := walk(dst, src)
-			if err != nil {
-				return nil, err
-			}
-			n.paths[src*n.nDev+dst] = path{fwd: fwd, rev: rev, lat: latF + latR}
+			n.routeOff = append(n.routeOff, int32(len(n.arena)))
+			n.routeLat = append(n.routeLat, lat)
 		}
 	}
 	return n, nil

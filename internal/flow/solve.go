@@ -49,7 +49,7 @@ type solver struct {
 	wRev      []float64 // reverse (ack) wire bytes per payload byte
 	lines     []int64
 	elig      []float64 // earliest eligible time (start + At)
-	pathOf    []*path   // nil for self-sends
+	legs      []legs    // zero for self-sends
 	frozen    []bool
 
 	// Step machinery: perStep[s] lists step-s send indices sorted by
@@ -96,7 +96,7 @@ func newSolver(n *Network, p *comm.Plan, limit sim.Cycle) *solver {
 		wRev:      make([]float64, ns),
 		lines:     make([]int64, ns),
 		elig:      make([]float64, ns),
-		pathOf:    make([]*path, ns),
+		legs:      make([]legs, ns),
 		frozen:    make([]bool, ns),
 
 		reqLeft: make([]int, len(p.Requests)),
@@ -122,7 +122,7 @@ func newSolver(n *Network, p *comm.Plan, limit sim.Cycle) *solver {
 			s.lines[i], s.wFwd[i], s.wRev[i] = wireCost(sd.Bytes, n.opt.FlitBytes)
 			s.wFwd[i] /= float64(sd.Bytes)
 			s.wRev[i] /= float64(sd.Bytes)
-			s.pathOf[i] = &n.paths[sd.Src*n.nDev+sd.Dst]
+			s.legs[i] = n.legs(sd.Src, sd.Dst)
 		}
 		if sd.Step > maxStep {
 			maxStep = sd.Step
@@ -138,8 +138,16 @@ func newSolver(n *Network, p *comm.Plan, limit sim.Cycle) *solver {
 	s.perStep = make([][]int32, maxStep+1)
 	s.head = make([]int, maxStep+1)
 	for i := range p.Sends {
+		s.stepLeft[p.Sends[i].Step]++
+	}
+	// The buckets share one exactly sized backing array.
+	flat, lo := make([]int32, ns), 0
+	for st, c := range s.stepLeft {
+		s.perStep[st] = flat[lo : lo : lo+c]
+		lo += c
+	}
+	for i := range p.Sends {
 		st := p.Sends[i].Step
-		s.stepLeft[st]++
 		s.perStep[st] = append(s.perStep[st], int32(i))
 	}
 	for st := range s.perStep {
@@ -233,23 +241,26 @@ func (s *solver) recompute() {
 		s.inSeg[sg] = false
 	}
 	s.touched = s.touched[:0]
+	n := s.n
 	addW := func(sg int32, w float64) {
 		if !s.inSeg[sg] {
 			s.inSeg[sg] = true
 			s.sumW[sg] = 0
-			s.capLeft[sg] = s.n.cap[sg]
+			s.capLeft[sg] = n.cap[sg]
 			s.touched = append(s.touched, sg)
 		}
 		s.sumW[sg] += w
 	}
 	for _, i := range s.active {
 		sd := &s.p.Sends[i]
-		addW(int32(s.n.injBase+sd.Src), 1)
-		pt := s.pathOf[i]
-		for _, sg := range pt.fwd {
+		addW(int32(n.injBase+sd.Src), 1)
+		lg := s.legs[i]
+		addW(n.up[sd.Src], s.wFwd[i])
+		for _, sg := range n.segs(lg.fwd) {
 			addW(sg, s.wFwd[i])
 		}
-		for _, sg := range pt.rev {
+		addW(n.up[sd.Dst], s.wRev[i])
+		for _, sg := range n.segs(lg.rev) {
 			addW(sg, s.wRev[i])
 		}
 		s.rate[i] = 0
@@ -287,12 +298,14 @@ func (s *solver) recompute() {
 				froze = true
 				unfrozen--
 				sd := &s.p.Sends[i]
-				s.sumW[s.n.injBase+sd.Src]--
-				pt := s.pathOf[i]
-				for _, sg := range pt.fwd {
+				s.sumW[n.injBase+sd.Src]--
+				lg := s.legs[i]
+				s.sumW[n.up[sd.Src]] -= s.wFwd[i]
+				for _, sg := range n.segs(lg.fwd) {
 					s.sumW[sg] -= s.wFwd[i]
 				}
-				for _, sg := range pt.rev {
+				s.sumW[n.up[sd.Dst]] -= s.wRev[i]
+				for _, sg := range n.segs(lg.rev) {
 					s.sumW[sg] -= s.wRev[i]
 				}
 			}
@@ -309,13 +322,16 @@ func (s *solver) blocked(i int32) bool {
 	if s.exhausted(int32(s.n.injBase + sd.Src)) {
 		return true
 	}
-	pt := s.pathOf[i]
-	for _, sg := range pt.fwd {
+	n, lg := s.n, s.legs[i]
+	if s.exhausted(n.up[sd.Src]) || s.exhausted(n.up[sd.Dst]) {
+		return true
+	}
+	for _, sg := range n.segs(lg.fwd) {
 		if s.exhausted(sg) {
 			return true
 		}
 	}
-	for _, sg := range pt.rev {
+	for _, sg := range n.segs(lg.rev) {
 		if s.exhausted(sg) {
 			return true
 		}
@@ -419,7 +435,8 @@ func (s *solver) solve() error {
 		for _, i := range s.active {
 			if s.remaining[i] <= byteEps {
 				s.state[i] = stSent
-				s.pushAck(ackEvent{at: s.now + s.pathOf[i].lat, idx: i})
+				sd := &s.p.Sends[i]
+				s.pushAck(ackEvent{at: s.now + s.n.rtt(sd.Src, sd.Dst, s.legs[i]), idx: i})
 				s.dirty = true
 			} else {
 				keep = append(keep, i)

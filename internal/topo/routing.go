@@ -51,6 +51,11 @@ func (r *Routing) NodeID(name string) (int32, bool) {
 	return int32(n), ok
 }
 
+// LinkNodes returns the node IDs of Graph.Links[i]'s A and B endpoints.
+func (r *Routing) LinkNodes(i int) (a, b int32) {
+	return r.ix.linkEnd[2*i], r.ix.linkEnd[2*i+1]
+}
+
 // NextHop returns the node ID of the neighbor on the deterministic
 // shortest path from switch ordinal s toward device d: d itself when
 // the device hangs off that switch, a neighboring switch otherwise.
@@ -137,25 +142,4 @@ func (g *Graph) Routes() (*Routing, error) {
 		}
 	}
 	return r, nil
-}
-
-// NextHops is the string view of Routes — for every switch, the
-// neighbor on a shortest path to every device:
-// result[switch][device] = next-hop node name. Large-scale callers
-// (cluster.Build, the flow backend) use Routes directly; the map form
-// remains for specs, tests and external tooling.
-func (g *Graph) NextHops() (map[string]map[string]string, error) {
-	r, err := g.Routes()
-	if err != nil {
-		return nil, err
-	}
-	hops := make(map[string]map[string]string, len(g.Switches))
-	for s, sw := range g.Switches {
-		m := make(map[string]string, len(g.Devices))
-		for d, dev := range g.Devices {
-			m[dev.Name] = r.NextHopName(s, d)
-		}
-		hops[sw.Name] = m
-	}
-	return hops, nil
 }

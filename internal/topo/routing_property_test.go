@@ -1,13 +1,10 @@
 package topo
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
-
-	"netcrafter/internal/sim"
 )
 
 // referenceNextHops is the seed's routing algorithm, preserved verbatim
@@ -69,6 +66,25 @@ func referenceNextHops(t *testing.T, g *Graph) map[string]map[string]string {
 	return hops
 }
 
+// NextHops is the string view of Routes, kept in test code as the
+// form the routing oracles compare in: result[switch][device] = name of
+// the neighbor on the shortest path from that switch to that device.
+func (g *Graph) NextHops() (map[string]map[string]string, error) {
+	r, err := g.Routes()
+	if err != nil {
+		return nil, err
+	}
+	hops := make(map[string]map[string]string, len(g.Switches))
+	for s, sw := range g.Switches {
+		m := make(map[string]string, len(g.Devices))
+		for d, dev := range g.Devices {
+			m[dev.Name] = r.NextHopName(s, d)
+		}
+		hops[sw.Name] = m
+	}
+	return hops, nil
+}
+
 // deviceDistances BFS-computes every node's hop distance to one device,
 // independently of the production index.
 func deviceDistances(g *Graph, dev string) map[string]int {
@@ -128,53 +144,6 @@ func checkRoutingSound(t *testing.T, g *Graph) {
 	}
 }
 
-// randomGraph builds a deterministic pseudo-random valid fabric:
-// clustered switches with 1-3 GPUs each, optional backbone switches, a
-// random connecting chain plus random extra switch-switch links at
-// random asymmetric rates.
-func randomGraph(r *rand.Rand, seed int) *Graph {
-	nClusters := 2 + r.Intn(4)
-	nBackbone := r.Intn(3)
-	g := &Graph{Name: fmt.Sprintf("rand-%d", seed)}
-	gpu := 0
-	for c := 0; c < nClusters; c++ {
-		g.Switches = append(g.Switches, Switch{Name: fmt.Sprintf("sw%d", c), Cluster: c})
-		for i, n := 0, 1+r.Intn(3); i < n; i++ {
-			name := fmt.Sprintf("gpu%d", gpu)
-			g.Devices = append(g.Devices, Device{Name: name, Cluster: c})
-			g.Links = append(g.Links, Link{A: name, B: fmt.Sprintf("sw%d", c), BW: 1 + r.Intn(8), Latency: 1})
-			gpu++
-		}
-	}
-	for b := 0; b < nBackbone; b++ {
-		g.Switches = append(g.Switches, Switch{Name: fmt.Sprintf("bb%d", b), Cluster: Backbone})
-	}
-	// A random spanning chain over the switches, then random extras.
-	order := r.Perm(len(g.Switches))
-	used := map[[2]int]bool{}
-	connect := func(i, j int) {
-		if i == j {
-			return
-		}
-		key := [2]int{min(i, j), max(i, j)}
-		if used[key] {
-			return
-		}
-		used[key] = true
-		g.Links = append(g.Links, Link{
-			A: g.Switches[i].Name, B: g.Switches[j].Name,
-			BW: 1 + r.Intn(8), BWBack: r.Intn(9), Latency: 1 + sim.Cycle(r.Intn(3)),
-		})
-	}
-	for i := 1; i < len(order); i++ {
-		connect(order[i-1], order[i])
-	}
-	for e, n := 0, r.Intn(2*len(g.Switches)); e < n; e++ {
-		connect(r.Intn(len(g.Switches)), r.Intn(len(g.Switches)))
-	}
-	return g
-}
-
 // TestNextHopsMatchesReference pins the indexed routing core to the
 // seed's per-device BFS on every preset and on a corpus of random
 // fabrics: the tables must be identical entry for entry, not merely
@@ -190,7 +159,7 @@ func TestNextHopsMatchesReference(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
-		g := randomGraph(r, i)
+		g := RandomGraph(r, i)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("random graph %d invalid: %v", i, err)
 		}
@@ -228,7 +197,7 @@ func TestNextHopsNoRoutingLoops(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 25; i++ {
-		checkRoutingSound(t, randomGraph(r, i))
+		checkRoutingSound(t, RandomGraph(r, i))
 	}
 }
 

@@ -3,7 +3,7 @@
 // bandwidth (flits/cycle) and propagation latency. A Graph can come
 // from a compact JSON spec (Parse), from a programmatic builder
 // (FrontierNode, Ring, FullyConnected, ...), or from a named preset.
-// After Validate passes, NextHops derives deterministic shortest-path
+// After Validate passes, Routes derives deterministic shortest-path
 // routing tables (BFS with stable tie-breaks) and package cluster can
 // instantiate the graph as a runnable system, placing a NetCrafter
 // controller at every cluster-boundary egress the graph identifies.
@@ -141,6 +141,8 @@ type gindex struct {
 	// CSR adjacency: node n's neighbors are adjNode[adjStart[n]:adjStart[n+1]].
 	adjStart []int32
 	adjNode  []int32
+	// linkEnd[2i], linkEnd[2i+1] are the node IDs of Links[i].A and .B.
+	linkEnd []int32
 }
 
 // neighbors returns node n's neighbor IDs in link-declaration order.
@@ -188,7 +190,8 @@ func (g *Graph) index() (*gindex, error) {
 		}
 	}
 	ix.adjStart = make([]int32, n+1)
-	for _, l := range g.Links {
+	ix.linkEnd = make([]int32, 2*len(g.Links))
+	for i, l := range g.Links {
 		a, oka := ix.id[l.A]
 		b, okb := ix.id[l.B]
 		if !oka {
@@ -197,6 +200,7 @@ func (g *Graph) index() (*gindex, error) {
 		if !okb {
 			return nil, unknownNodeErr(ix, l, l.B)
 		}
+		ix.linkEnd[2*i], ix.linkEnd[2*i+1] = int32(a), int32(b)
 		ix.adjStart[a+1]++
 		ix.adjStart[b+1]++
 	}
@@ -206,11 +210,11 @@ func (g *Graph) index() (*gindex, error) {
 	ix.adjNode = make([]int32, ix.adjStart[n])
 	cursor := make([]int32, n)
 	copy(cursor, ix.adjStart[:n])
-	for _, l := range g.Links {
-		a, b := ix.id[l.A], ix.id[l.B]
-		ix.adjNode[cursor[a]] = int32(b)
+	for i := range g.Links {
+		a, b := ix.linkEnd[2*i], ix.linkEnd[2*i+1]
+		ix.adjNode[cursor[a]] = b
 		cursor[a]++
-		ix.adjNode[cursor[b]] = int32(a)
+		ix.adjNode[cursor[b]] = a
 		cursor[b]++
 	}
 	return ix, nil
