@@ -52,7 +52,8 @@ bench:
 # The engine/queue/scheduler/fabric hot-path micro-benchmarks that the
 # wake-scheduled engine work is measured by, plus the flow backend's
 # set-up and solve costs (network compilation at 512 GPUs, plan
-# generation, one alltoall solve). `bench-micro` gives real numbers;
+# generation, one alltoall solve), and the NetCrafter controller's
+# trim/stitch/pool/eject path. `bench-micro` gives real numbers;
 # `bench-micro-smoke` (in ci) just proves they still compile, run, and
 # hold their 0 allocs/op pins.
 bench-micro:
@@ -70,6 +71,8 @@ bench-micro:
 		-benchmem -count=3 ./internal/flow
 	$(GO) test -run='^$$' -bench='BenchmarkCommGen' \
 		-benchmem -count=3 ./internal/comm
+	$(GO) test -run='^$$' -bench='BenchmarkController' \
+		-benchmem -count=3 ./internal/core
 
 bench-micro-smoke:
 	$(GO) test -run='NoAllocs' -bench='BenchmarkEngine|BenchmarkQueue|BenchmarkScheduler' \
@@ -86,6 +89,8 @@ bench-micro-smoke:
 		-benchmem -count=1 -benchtime=10x ./internal/flow
 	$(GO) test -run='^$$' -bench='BenchmarkCommGen' \
 		-benchmem -count=1 -benchtime=10x ./internal/comm
+	$(GO) test -run='^$$' -bench='BenchmarkController' \
+		-benchmem -count=1 -benchtime=100x ./internal/core
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzTopoParse -fuzztime=5s -run='^$$' ./internal/topo
@@ -130,7 +135,7 @@ arch-dot:
 	  '  { rank=same; cache; topo; lasp; }' \
 	  '  { rank=same; txn; }' \
 	  '  { rank=same; flit; }' \
-	  '  { rank=same; network; dram; trace; }' \
+	  '  { rank=same; network; dram; }' \
 	  '  { rank=same; vm; core; }' \
 	  '  { rank=same; gpu; }' \
 	  '  { rank=same; comm; }' \
@@ -154,17 +159,19 @@ sweep-smoke:
 	$(GO) run -race ./cmd/netcrafter-bench -exp fig3 -scale tiny -parallel 8 \
 		-manifest /tmp/netcrafter-sweep-smoke.json -resume -q > /dev/null
 
-# End-to-end smoke of the timeline exporter: a tiny run must produce a
-# Chrome Trace Event JSON document Perfetto would accept (one object
-# with a traceEvents array), plus the heatmap and component profile on
-# stdout. The schema details are pinned by the cmd/netcrafter-sim tests;
+# End-to-end smoke of the timeline exporter: a tiny NetCrafter run must
+# produce a Chrome Trace Event JSON document Perfetto would accept (one
+# object with a traceEvents array) carrying the controller's stitch
+# count track, plus the heatmap and component profile on stdout. The schema details are pinned by the cmd/netcrafter-sim tests;
 # this proves the shipped binary path works.
 timeline-smoke:
-	$(GO) run ./cmd/netcrafter-sim -workload GUPS -scale tiny \
+	$(GO) run ./cmd/netcrafter-sim -workload GUPS -scale tiny -config netcrafter \
 		-timeline /tmp/netcrafter-timeline-smoke.json -heatmap -profile-components \
 		> /tmp/netcrafter-timeline-smoke.txt
 	@grep -q '"traceEvents"' /tmp/netcrafter-timeline-smoke.json || \
 		{ echo "timeline-smoke: no traceEvents in export"; exit 1; }
+	@grep -q '"name":"nc0.stitch"' /tmp/netcrafter-timeline-smoke.json || \
+		{ echo "timeline-smoke: no nc0.stitch count track in export"; exit 1; }
 	@grep -q 'congestion heatmap' /tmp/netcrafter-timeline-smoke.txt || \
 		{ echo "timeline-smoke: heatmap missing"; exit 1; }
 	@grep -q 'component profile' /tmp/netcrafter-timeline-smoke.txt || \

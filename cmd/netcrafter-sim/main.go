@@ -7,7 +7,7 @@
 //	               [-scale tiny|small|medium] [-inter 16] [-intra 128]
 //	               [-topo preset|spec.json] [-topo-list] [-topo-info] [-dot FILE]
 //	               [-pool 32] [-flit 16] [-seed 1] [-v]
-//	               [-trace FILE] [-spans FILE] [-metrics FILE]
+//	               [-spans FILE] [-metrics FILE]
 //	               [-timeline FILE] [-heatmap] [-profile-components]
 //	               [-inflight-dump] [-shards N]
 //	               [-comm ring-allreduce] [-comm-bytes N] [-qps N]
@@ -19,18 +19,18 @@
 // section 2.15). Results are bit-identical to the serial engine at any
 // shard count; only wall-clock changes, so use it on multi-core hosts
 // with multi-cluster topologies. Shard counts above the cluster count
-// clamp down. Cycle backend only; the observability flags (-trace,
-// -spans, -metrics, -timeline, -heatmap) and the -comm modes
-// instrument shared state and refuse to combine with -shards.
+// clamp down. Cycle backend only; the shared observability sinks
+// (-spans, -metrics, -timeline, -heatmap) and the -comm modes refuse to
+// combine with -shards.
 //
 // -backend selects the simulation fidelity. The default cycle backend
 // ticks every flit through the real switches and controllers; the
 // flow backend solves communication plans analytically as max-min
 // fair fluid flows (DESIGN.md section 2.14) — orders of magnitude
 // faster, but it models plans only, so it requires -comm or
-// -comm-replay and rejects workloads and the ticked-system
-// observability flags (-metrics, -timeline, -heatmap). See the
-// ext-calibrate bench experiment for its measured error.
+// -comm-replay and rejects workloads and every observability flag
+// (each one watches the ticked system). See the ext-calibrate bench
+// experiment for its measured error.
 //
 // -comm runs a communication program instead of a workload: a
 // collective (ring-allreduce, tree-allreduce, alltoall, pipeline,
@@ -42,7 +42,8 @@
 // JSONL trace ({"t":cycle,"src":gpu,"dst":gpu,"bytes":n,...});
 // -comm-replay executes such a trace instead of generating a plan —
 // replaying an exported trace reproduces the generator's metrics
-// exactly. -metrics, -timeline and -heatmap compose with -comm.
+// exactly. Every observability flag below works the same way with
+// -comm as with -workload.
 //
 // -topo replaces the default 4-GPU/2-cluster fabric with a named preset
 // (see -topo-list) or a JSON topology spec file; link bandwidths then
@@ -61,13 +62,15 @@
 //
 // -timeline records the run's event timeline — per-component engine
 // execute slices, cycle-windowed link utilization and queue occupancy,
-// and per-transaction state dwells — and writes it as Chrome Trace
-// Event JSON to FILE, viewable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing. -heatmap prints the per-link congestion heatmap
-// (utilization per cycle window, hottest links ranked) after the run;
-// both need a single -workload. -profile-components enables the engine
-// self-profiler and prints where host time went per simulated
-// component.
+// per-controller counts of ejections, stitches, trims, pooled and
+// un-stitched flits, and per-transaction state dwells — and writes it
+// as Chrome Trace Event JSON to FILE, viewable in Perfetto
+// (ui.perfetto.dev) or chrome://tracing. -heatmap prints the per-link
+// congestion heatmap (utilization per cycle window, hottest links
+// ranked) after the run; both need a single -workload.
+// -profile-components enables the engine self-profiler and prints where
+// host time went per simulated component. -inflight-dump prints the
+// live transaction tables after the run.
 //
 // -timeline, -spans, -metrics and -dot accept "-" for stdout. Output
 // files are opened before the simulation starts, so an unwritable path
@@ -110,7 +113,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		seed   = fs.Uint64("seed", 1, "workload seed")
 		list   = fs.Bool("list", false, "list workloads and exit")
 		verb   = fs.Bool("v", false, "verbose per-type traffic breakdown")
-		traceF = fs.String("trace", "", "write a JSON-lines wire trace to this file")
 		spansF = fs.String("spans", "", "write packet lifecycle spans (JSONL) to this file ('-' = stdout) and print the latency breakdown")
 		metF   = fs.String("metrics", "", "write a Prometheus-style metrics snapshot to this file ('-' = stdout)")
 		tlF    = fs.String("timeline", "", "write a Chrome Trace Event JSON timeline to this file ('-' = stdout; open in Perfetto or chrome://tracing)")
@@ -204,8 +206,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if *commF != "" || *commR != "" {
 			return fail(fmt.Errorf("-shards needs the serial engine: -comm/-comm-replay register global injectors and a shared tracker"))
 		}
-		if *traceF != "" || *spansF != "" || *metF != "" || *tlF != "" || *heat {
-			return fail(fmt.Errorf("-shards needs the serial engine: -trace/-spans/-metrics/-timeline/-heatmap attach observability sinks shared across shards"))
+		if *spansF != "" || *metF != "" || *tlF != "" || *heat {
+			return fail(fmt.Errorf("-shards needs the serial engine: -spans/-metrics/-timeline/-heatmap attach observability sinks shared across shards"))
 		}
 		cfg.Shards = *shards
 	}
@@ -220,12 +222,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, strings.Join(netcrafter.CommPrograms(), "\n"))
 		return 0
 	}
+	sf := sinkFlags{spans: *spansF, metrics: *metF, timeline: *tlF,
+		heatmap: *heat, profile: *prof, inflight: *inFlt}
 	if *commF != "" || *commR != "" {
 		return runCommMode(cfg, commFlags{
 			prog: *commF, scale: *scale, bytes: *commB, qps: *qps,
 			requests: *reqs, seed: *seed, export: *commX, replay: *commR,
-			metrics: *metF, timeline: *tlF, heatmap: *heat,
-		}, stdout, stderr)
+		}, sf, stdout, stderr)
 	}
 
 	if backend.Norm() != netcrafter.BackendCycle {
@@ -242,71 +245,18 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-timeline and -heatmap need a single -workload, not %d", len(names)))
 	}
 
-	// Open every output before simulating: an unwritable path must fail
-	// now, not after the run.
-	var rec *netcrafter.TraceRecorder
-	var closeTrace = noClose
-	if *traceF != "" {
-		w, closeW, err := openOut(*traceF, stdout)
-		if err != nil {
-			return fail(err)
-		}
-		rec, closeTrace = netcrafter.NewTraceRecorder(w), closeW
+	sk, err := openSinks(sf, stdout)
+	if err != nil {
+		return fail(err)
 	}
-	var reg *netcrafter.MetricsRegistry
-	var metOut io.Writer
-	var closeMet = noClose
-	if *metF != "" {
-		metOut, closeMet, err = openOut(*metF, stdout)
-		if err != nil {
-			return fail(err)
-		}
-		reg = netcrafter.NewMetricsRegistry()
-	}
-	var spans *netcrafter.SpanRecorder
-	var closeSpans = noClose
-	if *spansF != "" {
-		w, closeW, err := openOut(*spansF, stdout)
-		if err != nil {
-			return fail(err)
-		}
-		spans, closeSpans = netcrafter.NewSpanRecorder(w), closeW
-	}
-	var tl *netcrafter.Timeline
-	var tlOut io.Writer
-	var closeTl = noClose
-	if *tlF != "" {
-		tlOut, closeTl, err = openOut(*tlF, stdout)
-		if err != nil {
-			return fail(err)
-		}
-	}
-	if *tlF != "" || *heat {
-		tl = netcrafter.NewTimeline(0)
-	}
-
 	for _, name := range names {
 		var res *netcrafter.Result
 		var err error
-		if rec != nil || reg != nil || spans != nil || tl != nil || *inFlt {
+		if sk.instrumented() {
 			sys := netcrafter.NewSystem(cfg)
-			sys.AttachTrace(rec)
-			sys.AttachObs(reg, spans, tl)
+			sk.attach(sys)
 			res, err = netcrafter.RunOnSystem(sys, name, sc, 500_000_000)
-			if tl != nil {
-				tl.Finish(sys.Engine.Now())
-			}
-			if *inFlt {
-				if err != nil {
-					// A wedged run: the watchdog names the transactions
-					// that stopped moving, with their stage history.
-					fmt.Fprintf(stderr, "%s: %v; stuck-transaction report:\n", name, err)
-					if sys.CheckStuck(stderr, 10_000) == 0 {
-						fmt.Fprintln(stderr, "  (no transaction older than 10000 cycles)")
-					}
-				}
-				sys.DumpInFlight(stdout)
-			}
+			sk.afterRun(sys, name, err, stdout, stderr)
 		} else {
 			res, err = netcrafter.Run(cfg, name, sc)
 		}
@@ -314,62 +264,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		printResult(stdout, res, *verb)
-		if *prof {
-			fmt.Fprintln(stdout)
-			if err := netcrafter.WriteComponentProfile(stdout, res.Components); err != nil {
-				return fail(err)
-			}
+		if err := sk.writeProfile(stdout, res.Components); err != nil {
+			return fail(err)
 		}
 	}
-
-	if rec != nil {
-		if err := rec.Flush(); err != nil {
-			return fail(err)
-		}
-		if err := closeTrace(); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "trace: %d events written to %s\n", rec.Events(), *traceF)
-	}
-	if spans != nil {
-		if err := spans.Flush(); err != nil {
-			return fail(err)
-		}
-		if err := closeSpans(); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "\nspans: %d recorded (%s)\n%s", spans.Spans(), *spansF, spans.Breakdown().Table())
-	}
-	if reg != nil {
-		if err := reg.WriteProm(metOut); err != nil {
-			return fail(err)
-		}
-		if err := closeMet(); err != nil {
-			return fail(err)
-		}
-		if *metF != "-" {
-			fmt.Fprintf(stdout, "metrics: snapshot written to %s\n", *metF)
-		}
-	}
-	if tl != nil {
-		if *tlF != "" {
-			if err := tl.WriteTrace(tlOut); err != nil {
-				return fail(err)
-			}
-			if err := closeTl(); err != nil {
-				return fail(err)
-			}
-			if *tlF != "-" {
-				fmt.Fprintf(stdout, "timeline: %d events written to %s (open in Perfetto / chrome://tracing)\n",
-					tl.Events(), *tlF)
-			}
-		}
-		if *heat {
-			fmt.Fprintln(stdout)
-			if err := tl.WriteHeatmap(stdout, 0); err != nil {
-				return fail(err)
-			}
-		}
+	if err := sk.finish(stdout); err != nil {
+		return fail(err)
 	}
 	return 0
 }
@@ -432,15 +332,148 @@ func openOut(path string, stdout io.Writer) (io.Writer, func() error, error) {
 	return f, f.Close, nil
 }
 
+// sinkFlags holds the observability flag values. The workload and comm
+// modes both honour every one of them through openSinks, so each flag
+// means the same thing in both.
+type sinkFlags struct {
+	spans, metrics, timeline   string
+	heatmap, profile, inflight bool
+}
+
+// any reports whether any sink flag is set. Every sink observes the
+// ticked system, so the flow backend refuses them all.
+func (f sinkFlags) any() bool {
+	return f.spans != "" || f.metrics != "" || f.timeline != "" || f.heatmap || f.profile || f.inflight
+}
+
+// sinks are the opened observability outputs of one CLI run.
+type sinks struct {
+	f                             sinkFlags
+	reg                           *netcrafter.MetricsRegistry
+	spans                         *netcrafter.SpanRecorder
+	tl                            *netcrafter.Timeline
+	metOut, tlOut                 io.Writer
+	closeSpans, closeMet, closeTl func() error
+}
+
+// openSinks opens every output the flags name before anything is
+// simulated: an unwritable path must fail now, not after the run.
+func openSinks(f sinkFlags, stdout io.Writer) (*sinks, error) {
+	s := &sinks{f: f, closeSpans: noClose, closeMet: noClose, closeTl: noClose}
+	var err error
+	if f.metrics != "" {
+		if s.metOut, s.closeMet, err = openOut(f.metrics, stdout); err != nil {
+			return nil, err
+		}
+		s.reg = netcrafter.NewMetricsRegistry()
+	}
+	if f.spans != "" {
+		var w io.Writer
+		if w, s.closeSpans, err = openOut(f.spans, stdout); err != nil {
+			return nil, err
+		}
+		s.spans = netcrafter.NewSpanRecorder(w)
+	}
+	if f.timeline != "" {
+		if s.tlOut, s.closeTl, err = openOut(f.timeline, stdout); err != nil {
+			return nil, err
+		}
+	}
+	if f.timeline != "" || f.heatmap {
+		s.tl = netcrafter.NewTimeline(0)
+	}
+	return s, nil
+}
+
+// instrumented reports whether a run must attach sinks to a system it
+// builds itself. The profiler needs no attachment: Config.Profile
+// enables it.
+func (s *sinks) instrumented() bool {
+	return s.reg != nil || s.spans != nil || s.tl != nil || s.f.inflight
+}
+
+// attach wires the sinks into sys before it runs.
+func (s *sinks) attach(sys *netcrafter.System) { sys.AttachObs(s.reg, s.spans, s.tl) }
+
+// afterRun closes the timeline's open windows at sys's clock and, under
+// -inflight-dump, dumps the live transaction tables, preceded on a
+// failed run by the watchdog's stuck-transaction report.
+func (s *sinks) afterRun(sys *netcrafter.System, name string, runErr error, stdout, stderr io.Writer) {
+	s.tl.Finish(sys.Engine.Now())
+	if !s.f.inflight {
+		return
+	}
+	if runErr != nil {
+		// A wedged run: the watchdog names the transactions that
+		// stopped moving, with their stage history.
+		fmt.Fprintf(stderr, "%s: %v; stuck-transaction report:\n", name, runErr)
+		if sys.CheckStuck(stderr, 10_000) == 0 {
+			fmt.Fprintln(stderr, "  (no transaction older than 10000 cycles)")
+		}
+	}
+	sys.DumpInFlight(stdout)
+}
+
+// writeProfile prints a run's per-component host-time table under
+// -profile-components.
+func (s *sinks) writeProfile(w io.Writer, costs []netcrafter.ComponentCost) error {
+	if !s.f.profile {
+		return nil
+	}
+	fmt.Fprintln(w)
+	return netcrafter.WriteComponentProfile(w, costs)
+}
+
+// finish flushes and closes every sink after the last run: the span
+// breakdown table, the metrics snapshot, the timeline export and the
+// heatmap, each followed by where it went when that was a file.
+func (s *sinks) finish(stdout io.Writer) error {
+	if s.spans != nil {
+		if err := s.spans.Flush(); err != nil {
+			return err
+		}
+		if err := s.closeSpans(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "\nspans: %d recorded (%s)\n%s", s.spans.Spans(), s.f.spans, s.spans.Breakdown().Table())
+	}
+	if s.reg != nil {
+		if err := s.reg.WriteProm(s.metOut); err != nil {
+			return err
+		}
+		if err := s.closeMet(); err != nil {
+			return err
+		}
+		if s.f.metrics != "-" {
+			fmt.Fprintf(stdout, "metrics: snapshot written to %s\n", s.f.metrics)
+		}
+	}
+	if s.f.timeline != "" {
+		if err := s.tl.WriteTrace(s.tlOut); err != nil {
+			return err
+		}
+		if err := s.closeTl(); err != nil {
+			return err
+		}
+		if s.f.timeline != "-" {
+			fmt.Fprintf(stdout, "timeline: %d events written to %s (open in Perfetto / chrome://tracing)\n",
+				s.tl.Events(), s.f.timeline)
+		}
+	}
+	if s.f.heatmap {
+		fmt.Fprintln(stdout)
+		return s.tl.WriteHeatmap(stdout, 0)
+	}
+	return nil
+}
+
 // commFlags bundles the -comm* flag values for runCommMode.
 type commFlags struct {
-	prog, scale       string
-	bytes, requests   int
-	qps               float64
-	seed              uint64
-	export, replay    string
-	metrics, timeline string
-	heatmap           bool
+	prog, scale     string
+	bytes, requests int
+	qps             float64
+	seed            uint64
+	export, replay  string
 }
 
 // pickCommScale maps the -scale preset onto a communication scale
@@ -466,14 +499,14 @@ func pickCommScale(sel string) (netcrafter.CommScale, error) {
 // selected backend — the real ticked fabric, or the analytic flow
 // solver — and print the makespan line plus, for serving programs,
 // the per-request latency table.
-func runCommMode(cfg netcrafter.Config, cf commFlags, stdout, stderr io.Writer) int {
+func runCommMode(cfg netcrafter.Config, cf commFlags, sf sinkFlags, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "netcrafter-sim:", err)
 		return 1
 	}
 	flowBackend := cfg.Backend.Norm() == netcrafter.BackendFlow
-	if flowBackend && (cf.metrics != "" || cf.timeline != "" || cf.heatmap) {
-		return fail(fmt.Errorf("-metrics, -timeline and -heatmap instrument the ticked system; they need -backend cycle"))
+	if flowBackend && sf.any() {
+		return fail(fmt.Errorf("-spans, -metrics, -timeline, -heatmap, -profile-components and -inflight-dump instrument the ticked system; they need -backend cycle"))
 	}
 
 	// The flow backend never builds a system — it only needs the GPU
@@ -544,41 +577,17 @@ func runCommMode(cfg netcrafter.Config, cf commFlags, stdout, stderr io.Writer) 
 		}
 	}
 
-	// Open outputs before simulating, as the workload path does.
-	var reg *netcrafter.MetricsRegistry
-	var metOut io.Writer
-	var closeMet = noClose
-	if cf.metrics != "" {
-		metOut, closeMet, err = openOut(cf.metrics, stdout)
-		if err != nil {
-			return fail(err)
-		}
-		reg = netcrafter.NewMetricsRegistry()
+	sk, err := openSinks(sf, stdout)
+	if err != nil {
+		return fail(err)
 	}
-	var tl *netcrafter.Timeline
-	var tlOut io.Writer
-	var closeTl = noClose
-	if cf.timeline != "" {
-		tlOut, closeTl, err = openOut(cf.timeline, stdout)
-		if err != nil {
-			return fail(err)
-		}
-	}
-	if cf.timeline != "" || cf.heatmap {
-		tl = netcrafter.NewTimeline(0)
-	}
-	if reg != nil || tl != nil {
-		sys.AttachObs(reg, nil, tl)
-	}
-
 	var res *netcrafter.CommResult
 	if flowBackend {
 		res, err = netcrafter.RunCommPlanWith(cfg, plan, netcrafter.CommOptions{}, 500_000_000)
 	} else {
+		sk.attach(sys)
 		res, err = netcrafter.RunCommPlan(sys, plan, netcrafter.CommOptions{}, 500_000_000)
-		if tl != nil {
-			tl.Finish(sys.Engine.Now())
-		}
+		sk.afterRun(sys, plan.Name, err, stdout, stderr)
 	}
 	if err != nil {
 		return fail(err)
@@ -588,37 +597,13 @@ func runCommMode(cfg netcrafter.Config, cf commFlags, stdout, stderr io.Writer) 
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, tbl)
 	}
-
-	if reg != nil {
-		if err := reg.WriteProm(metOut); err != nil {
+	if !flowBackend {
+		if err := sk.writeProfile(stdout, sys.Engine.Profile()); err != nil {
 			return fail(err)
-		}
-		if err := closeMet(); err != nil {
-			return fail(err)
-		}
-		if cf.metrics != "-" {
-			fmt.Fprintf(stdout, "metrics: snapshot written to %s\n", cf.metrics)
 		}
 	}
-	if tl != nil {
-		if cf.timeline != "" {
-			if err := tl.WriteTrace(tlOut); err != nil {
-				return fail(err)
-			}
-			if err := closeTl(); err != nil {
-				return fail(err)
-			}
-			if cf.timeline != "-" {
-				fmt.Fprintf(stdout, "timeline: %d events written to %s (open in Perfetto / chrome://tracing)\n",
-					tl.Events(), cf.timeline)
-			}
-		}
-		if cf.heatmap {
-			fmt.Fprintln(stdout)
-			if err := tl.WriteHeatmap(stdout, 0); err != nil {
-				return fail(err)
-			}
-		}
+	if err := sk.finish(stdout); err != nil {
+		return fail(err)
 	}
 	return 0
 }

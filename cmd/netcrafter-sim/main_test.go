@@ -43,8 +43,6 @@ func TestRunFlagMatrix(t *testing.T) {
 			wantErr: []string{"netcrafter-sim:"}},
 		{name: "metrics unwritable", args: append(base, "-metrics", "/nonexistent-dir/x.prom"), exit: 1,
 			wantErr: []string{"netcrafter-sim:"}},
-		{name: "trace unwritable", args: append(base, "-trace", "/nonexistent-dir/x.jsonl"), exit: 1,
-			wantErr: []string{"netcrafter-sim:"}},
 		{name: "timeline needs one workload", args: []string{"-workload", "all", "-scale", "tiny", "-timeline", "-"}, exit: 1,
 			wantErr: []string{"single -workload"}},
 		{name: "heatmap needs one workload", args: []string{"-workload", "all", "-scale", "tiny", "-heatmap"}, exit: 1,
@@ -62,6 +60,12 @@ func TestRunFlagMatrix(t *testing.T) {
 			wantErr: []string{`did you mean "ring-allreduce"?`}},
 		{name: "comm metrics", args: []string{"-comm", "serve-poisson", "-scale", "tiny", "-metrics", "-"}, exit: 0,
 			wantOut: []string{"comm_request_latency_cycles"}},
+		{name: "comm spans stdout", args: []string{"-comm", "ring-allreduce", "-scale", "tiny", "-spans", "-"}, exit: 0,
+			wantOut: []string{`"type":"WriteReq"`, "spans:", "e2e(mean/p99)"}},
+		{name: "comm profile", args: []string{"-comm", "ring-allreduce", "-scale", "tiny", "-profile-components"}, exit: 0,
+			wantOut: []string{"busbw=", "component profile", "comm.g0"}},
+		{name: "comm inflight dump", args: []string{"-comm", "ring-allreduce", "-scale", "tiny", "-inflight-dump"}, exit: 0,
+			wantOut: []string{"txn table cluster0", "busbw="}},
 		{name: "comm export unwritable", args: []string{"-comm", "ring-allreduce", "-scale", "tiny", "-comm-export", "/nonexistent-dir/x.jsonl"}, exit: 1,
 			wantErr: []string{"netcrafter-sim:"}},
 		{name: "comm replay missing", args: []string{"-comm-replay", "/nonexistent-dir/x.jsonl"}, exit: 1,
@@ -73,6 +77,8 @@ func TestRunFlagMatrix(t *testing.T) {
 		{name: "flow workload rejected", args: []string{"-backend", "flow", "-workload", "GUPS", "-scale", "tiny"}, exit: 1,
 			wantErr: []string{"cycle backend"}},
 		{name: "flow metrics rejected", args: []string{"-backend", "flow", "-comm", "serve-poisson", "-scale", "tiny", "-metrics", "-"}, exit: 1,
+			wantErr: []string{"-backend cycle"}},
+		{name: "flow spans rejected", args: []string{"-backend", "flow", "-comm", "ring-allreduce", "-scale", "tiny", "-spans", "-"}, exit: 1,
 			wantErr: []string{"-backend cycle"}},
 		{name: "flow heatmap rejected", args: []string{"-backend", "flow", "-comm", "ring-allreduce", "-scale", "tiny", "-heatmap"}, exit: 1,
 			wantErr: []string{"-backend cycle"}},

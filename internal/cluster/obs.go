@@ -3,7 +3,9 @@ package cluster
 import (
 	"fmt"
 
+	"netcrafter/internal/core"
 	"netcrafter/internal/flit"
+	"netcrafter/internal/network"
 	"netcrafter/internal/obs"
 	"netcrafter/internal/obs/timeline"
 	"netcrafter/internal/sim"
@@ -25,16 +27,18 @@ const obsWireWindow sim.Cycle = 1024
 // The registry receives, per GPU, the latency histograms and pull
 // gauges of gpu.GPU.AttachObs; per controller, a residency histogram
 // (ncN.ctl_latency_cycles), a wire-bytes time series (ncN.wire_bytes)
-// and pull gauges over the controller's NetStats counters; and per
-// inter-cluster link direction, overall and active-window utilization
+// and a pull gauge per NetStats.Counters entry; and per guarded link
+// direction (interN and taperN), overall and active-window utilization
 // pull gauges.
 //
 // The timeline receives per-component execute slices from the engine's
-// tick probe, a windowed utilization track per link direction, an
-// occupancy track per controller cluster queue and per inter-link
-// endpoint buffer, and per-state dwell tracks from every cluster's
-// transaction table. Call Timeline.Finish after the run, then export
-// with WriteTrace / WriteHeatmap / WriteProfile.
+// tick probe, a windowed utilization track per link direction, per
+// controller an occupancy track over its cluster queue and five
+// windowed event-count tracks (ncN.eject, .stitch, .trim, .pool,
+// .unstitch), an occupancy track per guarded-link endpoint buffer, and
+// per-state dwell tracks from every cluster's transaction table. Call
+// Timeline.Finish after the run, then export with WriteTrace /
+// WriteHeatmap / WriteProfile.
 func (s *System) AttachObs(reg *obs.Registry, spans *obs.SpanRecorder, tl *timeline.Timeline) {
 	s.obsReg, s.obsTL = reg, tl
 	s.obsSpans = s.obsSpans || spans != nil
@@ -43,41 +47,39 @@ func (s *System) AttachObs(reg *obs.Registry, spans *obs.SpanRecorder, tl *timel
 		g.AttachObs(reg, spans)
 	}
 	for _, ctl := range s.Controllers {
-		ctl := ctl
 		p := ctl.Name + "."
 		ctl.ObsCtlLat = reg.Hist(p + "ctl_latency_cycles")
 		ctl.ObsWire = reg.Series(p+"wire_bytes", obsWireWindow)
-		reg.GaugeFunc(p+"flits_total", func() float64 { return float64(ctl.Net.FlitsTotal.Value()) })
-		reg.GaugeFunc(p+"flits_stitched", func() float64 { return float64(ctl.Net.FlitsStitched.Value()) })
-		reg.GaugeFunc(p+"items_stitched", func() float64 { return float64(ctl.Net.ItemsStitched.Value()) })
-		reg.GaugeFunc(p+"flits_trimmed", func() float64 { return float64(ctl.Net.FlitsTrimmed.Value()) })
-		reg.GaugeFunc(p+"packets_trimmed", func() float64 { return float64(ctl.Net.PacketsTrimmed.Value()) })
-		reg.GaugeFunc(p+"pooled_flits", func() float64 { return float64(ctl.Net.PooledFlits.Value()) })
-		reg.GaugeFunc(p+"ptw_flits", func() float64 { return float64(ctl.Net.PTWFlits.Value()) })
-		reg.GaugeFunc(p+"data_flits", func() float64 { return float64(ctl.Net.DataFlits.Value()) })
-		reg.GaugeFunc(p+"wire_bytes_total", func() float64 { return float64(ctl.Net.WireBytes.Value()) })
+		for _, c := range ctl.Net.Counters() {
+			reg.GaugeFunc(p+c.Name, func() float64 { return float64(c.C.Value()) })
+		}
 		reg.GaugeFunc(p+"queued_flits", func() float64 { return float64(ctl.QueuedFlits()) })
 	}
-	for i, l := range s.InterLinks {
-		l := l
-		p := fmt.Sprintf("inter%d.", i)
-		reg.GaugeFunc(p+"util_a2b", func() float64 { return l.AtoB.Utilization(s.Engine.Now()) })
-		reg.GaugeFunc(p+"util_b2a", func() float64 { return l.BtoA.Utilization(s.Engine.Now()) })
-		reg.GaugeFunc(p+"active_util_a2b", func() float64 { return l.AtoB.ActiveUtilization() })
-		reg.GaugeFunc(p+"active_util_b2a", func() float64 { return l.BtoA.ActiveUtilization() })
+	for _, set := range s.guardedLinks() {
+		for i, l := range set.links {
+			p := fmt.Sprintf("%s%d.", set.prefix, i)
+			reg.GaugeFunc(p+"util_a2b", func() float64 { return l.AtoB.Utilization(s.Engine.Now()) })
+			reg.GaugeFunc(p+"util_b2a", func() float64 { return l.BtoA.Utilization(s.Engine.Now()) })
+			reg.GaugeFunc(p+"active_util_a2b", func() float64 { return l.AtoB.ActiveUtilization() })
+			reg.GaugeFunc(p+"active_util_b2a", func() float64 { return l.BtoA.ActiveUtilization() })
+		}
 	}
-	// Within-cluster taper segments (fat-tree up/down links and the
-	// like) get the same per-direction utilization gauges under their
-	// own taper<i> names; empty on boundary-only fabrics, so the seed
-	// presets' metric namespaces are unchanged.
-	for i, l := range s.TaperLinks {
-		l := l
-		p := fmt.Sprintf("taper%d.", i)
-		reg.GaugeFunc(p+"util_a2b", func() float64 { return l.AtoB.Utilization(s.Engine.Now()) })
-		reg.GaugeFunc(p+"util_b2a", func() float64 { return l.BtoA.Utilization(s.Engine.Now()) })
-		reg.GaugeFunc(p+"active_util_a2b", func() float64 { return l.AtoB.ActiveUtilization() })
-		reg.GaugeFunc(p+"active_util_b2a", func() float64 { return l.BtoA.ActiveUtilization() })
-	}
+}
+
+// linkSet is a group of controller-guarded links and the prefix of
+// their per-link metric and track names.
+type linkSet struct {
+	prefix string
+	links  []*network.Link
+}
+
+// guardedLinks lists the controller-guarded links by name prefix:
+// inter<i> for the cluster-boundary links, taper<i> for the
+// within-cluster taper segments (fat-tree up/down links and the like;
+// empty on boundary-only fabrics, so the seed presets' metric
+// namespaces are unchanged).
+func (s *System) guardedLinks() []linkSet {
+	return []linkSet{{"inter", s.InterLinks}, {"taper", s.TaperLinks}}
 }
 
 // attachTimeline wires the event timeline (see AttachObs). A nil
@@ -90,6 +92,13 @@ func (s *System) attachTimeline(tl *timeline.Timeline) {
 	}
 	for _, ctl := range s.Controllers {
 		ctl.ObsOccupancy = tl.NewOccupancyTrack(ctl.Name+".queue", obsWireWindow)
+		ctl.ObsEvents = nil
+		if tl != nil {
+			ctl.ObsEvents = new([core.NumWireEvents]*timeline.Track)
+			for e := range ctl.ObsEvents {
+				ctl.ObsEvents[e] = tl.NewCountTrack(ctl.Name+"."+core.WireEvent(e).String(), obsWireWindow)
+			}
+		}
 	}
 	probe := func(q *sim.Queue[*flit.Flit], name string) {
 		if tl == nil {
@@ -101,13 +110,11 @@ func (s *System) attachTimeline(tl *timeline.Timeline) {
 			tr.Observe(at, float64(depth))
 		})
 	}
-	for i, l := range s.InterLinks {
-		probe(l.A.In, fmt.Sprintf("inter%d.a.in", i))
-		probe(l.B.In, fmt.Sprintf("inter%d.b.in", i))
-	}
-	for i, l := range s.TaperLinks {
-		probe(l.A.In, fmt.Sprintf("taper%d.a.in", i))
-		probe(l.B.In, fmt.Sprintf("taper%d.b.in", i))
+	for _, set := range s.guardedLinks() {
+		for i, l := range set.links {
+			probe(l.A.In, fmt.Sprintf("%s%d.a.in", set.prefix, i))
+			probe(l.B.In, fmt.Sprintf("%s%d.b.in", set.prefix, i))
+		}
 	}
 	for _, tb := range s.Tables {
 		tb.SetTimeline(tl)

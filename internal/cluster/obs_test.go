@@ -33,9 +33,14 @@ func TestSpansTileEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := obs.ReadSpans(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
+	var recs []obs.SpanRecord
+	dec := json.NewDecoder(strings.NewReader(buf.String()))
+	for dec.More() {
+		var r obs.SpanRecord
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, r)
 	}
 	if len(recs) == 0 {
 		t.Fatal("run produced no spans")
@@ -137,9 +142,10 @@ func TestTimelineEndToEnd(t *testing.T) {
 	if kinds["b"] != kinds["e"] {
 		t.Fatalf("unbalanced async spans: %d begins, %d ends", kinds["b"], kinds["e"])
 	}
-	// A link utilization counter, a controller queue track and a dwell
-	// state must all be present by name.
-	for _, want := range []string{"l.inter:a->b", "nc0.queue", "txn.cluster0.dram"} {
+	// A link utilization counter, a controller queue track, the
+	// controller's event-count tracks and a dwell state must all be
+	// present by name.
+	for _, want := range []string{"l.inter:a->b", "nc0.queue", "nc0.eject", "nc0.stitch", "nc0.trim", "txn.cluster0.dram"} {
 		if !names[want] {
 			t.Fatalf("trace missing track %q (have: %v)", want, names)
 		}
@@ -151,6 +157,11 @@ func TestTimelineEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "l.inter:a->b") || !strings.Contains(buf.String(), "hottest links") {
 		t.Fatalf("heatmap incomplete:\n%s", buf.String())
+	}
+	for _, track := range []string{"nc0.eject", "nc0.stitch", "nc0.trim"} {
+		if strings.Contains(buf.String(), track) {
+			t.Fatalf("count track %s is a heatmap row:\n%s", track, buf.String())
+		}
 	}
 
 	buf.Reset()

@@ -113,8 +113,8 @@ func waveSeed(seed uint64, kernel, cta, wave int) uint64 {
 // boundaries under software coherence). It returns the aggregated
 // result or an error if the cycle limit is exceeded.
 func (s *System) RunWorkload(spec *workload.Spec, limit sim.Cycle) (*Result, error) {
-	if s.coord != nil && (s.obsReg != nil || s.obsTL != nil || s.obsSpans || s.traced) {
-		return nil, fmt.Errorf("cluster: observability sinks (metrics, spans, timeline, trace) are shared across components and need the serial engine: run with Shards <= 1")
+	if s.coord != nil && (s.obsReg != nil || s.obsTL != nil || s.obsSpans) {
+		return nil, fmt.Errorf("cluster: observability sinks (metrics, spans, timeline) are shared across components and need the serial engine: run with Shards <= 1")
 	}
 	s.Load(spec)
 	start := s.Engine.Now()
@@ -154,9 +154,7 @@ func (s *System) collect(name string, cycles sim.Cycle) *Result {
 		r.L1Misses += g.L1Misses()
 		r.RemoteReads += g.RDMA.Stats.RemoteReads.Value()
 		r.RemoteWrites += g.RDMA.Stats.RemoteWrites.Value()
-		for _, b := range g.RDMA.Stats.BytesNeeded.Buckets() {
-			r.BytesNeeded.Observe(b, g.RDMA.Stats.BytesNeeded.Get(b))
-		}
+		r.BytesNeeded.Merge(g.RDMA.Stats.BytesNeeded)
 	}
 	// Latency means weighted by sample counts.
 	var interSum, interN, intraSum, intraN float64
@@ -173,25 +171,7 @@ func (s *System) collect(name string, cycles sim.Cycle) *Result {
 		r.IntraReadLatency = intraSum / intraN
 	}
 	for _, ctl := range s.Controllers {
-		n := ctl.Net
-		r.Net.FlitsTotal.Add(n.FlitsTotal.Value())
-		r.Net.FlitsStitched.Add(n.FlitsStitched.Value())
-		r.Net.ItemsStitched.Add(n.ItemsStitched.Value())
-		r.Net.FlitsTrimmed.Add(n.FlitsTrimmed.Value())
-		r.Net.PacketsTrimmed.Add(n.PacketsTrimmed.Value())
-		r.Net.PTWFlits.Add(n.PTWFlits.Value())
-		r.Net.DataFlits.Add(n.DataFlits.Value())
-		r.Net.PooledFlits.Add(n.PooledFlits.Value())
-		r.Net.WireBytes.Add(n.WireBytes.Value())
-		for _, b := range n.Occupancy.Buckets() {
-			r.Net.Occupancy.Observe(b, n.Occupancy.Get(b))
-		}
-		for _, b := range n.FlitsByType.Buckets() {
-			r.Net.FlitsByType.Observe(b, n.FlitsByType.Get(b))
-		}
-		for _, b := range n.BytesByType.Buckets() {
-			r.Net.BytesByType.Observe(b, n.BytesByType.Get(b))
-		}
+		r.Net.Merge(ctl.Net)
 	}
 	if cycles > 0 && len(s.InterLinks) > 0 {
 		var u, au float64

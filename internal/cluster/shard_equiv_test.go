@@ -1,13 +1,12 @@
 package cluster
 
 import (
-	"io"
 	"reflect"
 	"testing"
 
 	"netcrafter/internal/comm"
+	"netcrafter/internal/obs/timeline"
 	"netcrafter/internal/topo"
-	"netcrafter/internal/trace"
 	"netcrafter/internal/workload"
 )
 
@@ -142,9 +141,9 @@ func TestShardRefusesObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := New(cfg)
-	sys.AttachTrace(trace.NewRecorder(io.Discard))
+	sys.AttachObs(nil, nil, timeline.New(0))
 	if _, err := sys.RunWorkload(spec, 50_000_000); err == nil {
-		t.Fatal("sharded run with a trace recorder attached was not refused")
+		t.Fatal("sharded run with a timeline attached was not refused")
 	}
 
 	sys = New(cfg)

@@ -24,7 +24,6 @@ import (
 	"netcrafter/internal/shard"
 	"netcrafter/internal/sim"
 	"netcrafter/internal/topo"
-	"netcrafter/internal/trace"
 	"netcrafter/internal/txn"
 	"netcrafter/internal/vm"
 )
@@ -70,7 +69,7 @@ type Config struct {
 	// runs each partition's engine on its own goroutine (internal/
 	// shard), bit-identical to serial execution. 0 or 1 means serial;
 	// counts above the cluster count clamp down. Cycle backend only;
-	// shared observability sinks (obs, spans, timeline, trace) and the
+	// shared observability sinks (metrics, spans, timeline) and the
 	// comm runner require Shards <= 1.
 	Shards int
 }
@@ -245,13 +244,12 @@ type System struct {
 	// coord drives the shard engines in lockstep when Config.Shards
 	// partitioned the system (nil = serial); idleFns are the per-shard
 	// done predicates (each shard's GPUs drained), shardGPUs the GPU
-	// ownership behind them. obsSpans/traced record that shared
-	// observability sinks were attached, which sharded runs refuse.
+	// ownership behind them. obsSpans records that a span recorder was
+	// attached, a shared sink that sharded runs refuse.
 	coord     *shard.Coordinator
 	idleFns   []func() bool
 	shardGPUs [][]*gpu.GPU
 	obsSpans  bool
-	traced    bool
 }
 
 // graphTopology implements gpu.Topology from the device list of a
@@ -675,15 +673,6 @@ func (s *System) AllIdle() bool {
 		}
 	}
 	return true
-}
-
-// AttachTrace streams wire-level controller events (ejections,
-// stitches, trims, pooling) to the recorder; pass nil to stop.
-func (s *System) AttachTrace(rec *trace.Recorder) {
-	s.traced = rec != nil
-	for _, ctl := range s.Controllers {
-		ctl.Trace = rec
-	}
 }
 
 // InFlight returns the number of live transactions across all clusters.

@@ -1,13 +1,12 @@
 package cluster
 
 import (
-	"strings"
 	"testing"
 
 	"netcrafter/internal/core"
 	"netcrafter/internal/gpu"
+	"netcrafter/internal/obs/timeline"
 	"netcrafter/internal/sim"
-	"netcrafter/internal/trace"
 	"netcrafter/internal/vm"
 	"netcrafter/internal/workload"
 )
@@ -322,37 +321,41 @@ func TestTrimWritesEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceRecordsWireEvents attaches a recorder and checks every
-// mechanism leaves events behind.
-func TestTraceRecordsWireEvents(t *testing.T) {
-	var buf strings.Builder
-	rec := trace.NewRecorder(&buf)
+// TestTimelineRecordsWireEvents attaches a timeline and checks every
+// controller mechanism leaves events on its count tracks, with each
+// track's total equal to the run's matching NetStats counter.
+func TestTimelineRecordsWireEvents(t *testing.T) {
 	sys := New(WithNetCrafter())
-	sys.AttachTrace(rec)
+	tl := timeline.New(0)
+	sys.AttachObs(nil, nil, tl)
 	spec, err := workload.ByName("GUPS", workload.Tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunWorkload(spec, testLimit); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	evs, err := trace.Read(strings.NewReader(buf.String()))
+	res, err := sys.RunWorkload(spec, testLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[trace.Kind]int{}
-	for _, e := range evs {
-		kinds[e.Kind]++
-	}
-	for _, k := range []trace.Kind{trace.KindEject, trace.KindStitch, trace.KindTrim, trace.KindUnstitch} {
-		if kinds[k] == 0 {
-			t.Errorf("no %s events recorded", k)
+	tl.Finish(sys.Engine.Now())
+	var total [core.NumWireEvents]float64
+	for _, ctl := range sys.Controllers {
+		for e, tr := range ctl.ObsEvents {
+			for _, v := range tr.Windows() {
+				total[e] += v
+			}
 		}
 	}
-	if int64(len(evs)) != rec.Events() {
-		t.Fatalf("read %d events, recorder says %d", len(evs), rec.Events())
+	for e, want := range map[core.WireEvent]int64{
+		core.EventEject:  res.Net.FlitsTotal.Value(),
+		core.EventStitch: res.Net.ItemsStitched.Value(),
+		core.EventTrim:   res.Net.PacketsTrimmed.Value(),
+		core.EventPool:   res.Net.PooledFlits.Value(),
+	} {
+		if want == 0 || total[e] != float64(want) {
+			t.Errorf("%s track total %v, want the counter's %d (> 0)", e, total[e], want)
+		}
+	}
+	if total[core.EventUnstitch] == 0 {
+		t.Error("no unstitch events recorded")
 	}
 }

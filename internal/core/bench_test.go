@@ -1,0 +1,91 @@
+package core
+
+import (
+	"testing"
+
+	"netcrafter/internal/flit"
+	"netcrafter/internal/sim"
+)
+
+// controllerBatch is one op of BenchmarkController, in two waves. The
+// first carries a trim-eligible read response (5 flits trimmed to 2), a
+// full read response and background write payload that keeps the
+// scheduler busy, so the response's 4-byte tail is pooled. The second,
+// arriving while the tail waits, carries another read response (whose
+// tail stitches into the pooled one), a write response and a page-table
+// request (stitch and PTW-sequencing candidates).
+func controllerBatch() (first, second []*flit.Flit) {
+	trim := pkt(flit.ReadRsp, 1)
+	trim.TrimEligible = true
+	first = flit.Segment(trim, 16)
+	first = append(first, flitsOf(flit.ReadRsp, 1)...)
+	first = append(first, backgroundFlits(4)...)
+	second = flitsOf(flit.ReadRsp, 1)
+	second = append(second, flitsOf(flit.WriteRsp, 1)...)
+	second = append(second, flitsOf(flit.PTReq, 1)...)
+	return first, second
+}
+
+// drainSink pops the controller's wire side without retaining flits, so
+// the benchmark measures the controller rather than the observer.
+type drainSink struct{ ctl *Controller }
+
+func (d drainSink) Tick(now sim.Cycle) bool {
+	busy := false
+	for {
+		if _, ok := d.ctl.Remote.Out.Pop(now); !ok {
+			return busy
+		}
+		busy = true
+	}
+}
+
+// BenchmarkController drives one controller with the paper's final
+// configuration (stitching, 32-cycle selective pooling, trimming, PTW
+// sequencing) through intake trim and egress stitch/pool/eject, one
+// controllerBatch per op, run until the controller drains. Batches are
+// built with the timer stopped, so allocs/op counts the controller's
+// own allocations only.
+func BenchmarkController(b *testing.B) {
+	ctl := NewController("nc", 0, 1, Baseline())
+	e := sim.NewEngine()
+	e.Register("nc", ctl)
+	e.Register("drain", drainSink{ctl})
+	drained := func() bool {
+		return ctl.Local.In.Len() == 0 && ctl.QueuedFlits() == 0 && ctl.Remote.Out.Len() == 0
+	}
+	const chunk = 256
+	type batch struct{ first, second []*flit.Flit }
+	batches := make([]batch, 0, chunk)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%chunk == 0 {
+			b.StopTimer()
+			batches = batches[:0]
+			for j := 0; j < chunk; j++ {
+				first, second := controllerBatch()
+				batches = append(batches, batch{first, second})
+			}
+			b.StartTimer()
+		}
+		bt := batches[i%chunk]
+		for _, f := range bt.first {
+			ctl.Local.In.Push(f, e.Now())
+		}
+		e.Run(8)
+		for _, f := range bt.second {
+			ctl.Local.In.Push(f, e.Now())
+		}
+		if _, err := e.RunUntil(drained, e.Now()+10_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	n := ctl.Net
+	if n.PacketsTrimmed.Value() < int64(b.N) || n.ItemsStitched.Value() == 0 || n.PooledFlits.Value() == 0 {
+		b.Fatalf("batch missed a mechanism: trimmed=%d stitched=%d pooled=%d over %d ops",
+			n.PacketsTrimmed.Value(), n.ItemsStitched.Value(), n.PooledFlits.Value(), b.N)
+	}
+	b.ReportMetric(float64(n.FlitsTotal.Value())/float64(b.N), "flits/op")
+}

@@ -9,7 +9,6 @@ import (
 	"netcrafter/internal/obs/timeline"
 	"netcrafter/internal/sim"
 	"netcrafter/internal/stats"
-	"netcrafter/internal/trace"
 )
 
 // partClass indexes the cluster-queue partitions within a destination
@@ -98,9 +97,6 @@ type Controller struct {
 	// Net accumulates the traffic statistics of flits this controller
 	// ejects onto the inter-cluster network.
 	Net *stats.NetStats
-	// Trace, when non-nil, records wire-level events (ejections,
-	// stitches, trims, pooling) as JSON lines.
-	Trace *trace.Recorder
 	// ObsCtlLat, when non-nil, feeds per-flit controller residency
 	// (cluster queue + pooling) into the metrics registry; ObsWire
 	// samples ejected wire bytes into a cycle-windowed series. Both are
@@ -109,8 +105,11 @@ type Controller struct {
 	ObsWire   *obs.Series
 	// ObsOccupancy, when non-nil, samples the cluster-queue depth into
 	// a timeline occupancy track on every enqueue — the per-queue view
-	// of the congestion heatmap. Wired by cluster.System.AttachObs.
+	// of the congestion heatmap. ObsEvents, when non-nil, counts each
+	// WireEvent per timeline window on its own track. Both wired by
+	// cluster.System.AttachObs.
 	ObsOccupancy *timeline.Track
+	ObsEvents    *[NumWireEvents]*timeline.Track
 
 	home      flit.ClusterID
 	parts     []*partition
@@ -122,6 +121,32 @@ type Controller struct {
 	// dataPrioTokens implements SeqDataEqual: one data flit is
 	// prioritized for every PTW flit that entered the queue.
 	dataPrioTokens int
+}
+
+// WireEvent is a controller mechanism event counted on the timeline.
+type WireEvent uint8
+
+// Wire events, in track order.
+const (
+	EventEject    WireEvent = iota // a flit left onto the inter-cluster wire
+	EventStitch                    // an item was stitched into a parent flit
+	EventTrim                      // a packet was trimmed
+	EventPool                      // a flit was parked in a pool slot
+	EventUnstitch                  // a stitched flit was split at ingress
+	NumWireEvents
+)
+
+// String returns the event's track-name suffix ("eject", "stitch", ...).
+func (e WireEvent) String() string {
+	return [NumWireEvents]string{"eject", "stitch", "trim", "pool", "unstitch"}[e]
+}
+
+// observe counts one wire event on its timeline track; free when no
+// timeline is attached.
+func (c *Controller) observe(e WireEvent, now sim.Cycle) {
+	if c.ObsEvents != nil {
+		c.ObsEvents[e].Observe(now, 1)
+	}
 }
 
 // NewController creates a controller for cluster home. remoteClusters
@@ -176,7 +201,7 @@ func (c *Controller) tickIngress(now sim.Cycle) bool {
 		}
 		c.Remote.In.PopReady() // readiness established by Peek above
 		if len(in.Stitched) > 0 {
-			c.Trace.Record(trace.FlitEvent(trace.KindUnstitch, c.Name, now, in))
+			c.observe(EventUnstitch, now)
 		}
 		for _, item := range flit.Unstitch(in) {
 			item.Pkt.Span.To(obs.StageDstNet, now)
@@ -263,9 +288,7 @@ func (c *Controller) intakeTrim(f *flit.Flit, now sim.Cycle) bool {
 		}
 		c.Net.PacketsTrimmed.Inc()
 		c.Net.FlitsTrimmed.Add(int64(ts.origCount - len(trimmed)))
-		c.Trace.Record(trace.Event{Cycle: int64(now), Kind: trace.KindTrim, Where: c.Name,
-			PacketID: p.ID, Type: p.Type.String(), Used: p.RequiredBytes(),
-			Detail: fmt.Sprintf("%d->%d flits", ts.origCount, len(trimmed))})
+		c.observe(EventTrim, now)
 		ts.released = true
 	}
 	if ts.seen >= ts.origCount {
@@ -426,7 +449,7 @@ func (c *Controller) serve(p *partition, now sim.Cycle) bool {
 			p.poolDeadline = now + c.cfg.PoolingCycles
 			parent.Pkt.Span.To(obs.StagePool, now)
 			c.Net.PooledFlits.Inc()
-			c.Trace.Record(trace.FlitEvent(trace.KindPool, c.Name, now, parent))
+			c.observe(EventPool, now)
 			return false
 		}
 		c.eject(parent, now)
@@ -509,6 +532,7 @@ func (c *Controller) stitchInto(parent *flit.Flit, own *partition, now sim.Cycle
 			c.perDst[p.pooledFlit.Pkt.DstCluster]--
 			p.pooledFlit = nil
 			count++
+			c.observe(EventStitch, now)
 			if parent.EmptyBytes() < smallestCandidateBytes {
 				return count
 			}
@@ -524,7 +548,7 @@ func (c *Controller) stitchInto(parent *flit.Flit, own *partition, now sim.Cycle
 				p.q.RemoveAt(i)
 				c.perDst[cand.Pkt.DstCluster]--
 				count++
-				c.Trace.Record(trace.FlitEvent(trace.KindStitch, c.Name, now, parent))
+				c.observe(EventStitch, now)
 				if parent.EmptyBytes() < smallestCandidateBytes {
 					return count
 				}
@@ -545,9 +569,7 @@ func (c *Controller) recordEjection(f *flit.Flit, now sim.Cycle) {
 		c.Net.FlitsStitched.Inc()
 		c.Net.ItemsStitched.Add(int64(len(f.Stitched)))
 	}
-	if c.Trace != nil {
-		c.Trace.Record(trace.FlitEvent(trace.KindEject, c.Name, now, f))
-	}
+	c.observe(EventEject, now)
 	c.countType(f.Pkt.Type, f.Used)
 	for _, it := range f.Stitched {
 		c.countType(it.Pkt.Type, it.WireBytes())

@@ -8,9 +8,8 @@ import (
 
 // Breakdown aggregates finished spans into a per-packet-type, per-stage
 // latency table: for each type, a histogram of end-to-end latency plus
-// one histogram per lifecycle stage. It backs the -breakdown report of
-// netcrafter-trace and the summary table netcrafter-sim prints under
-// -spans.
+// one histogram per lifecycle stage. It backs the summary table
+// netcrafter-sim prints under -spans and bench.BreakdownReport.
 type Breakdown struct {
 	types map[string]*typeAgg
 }
@@ -41,17 +40,6 @@ func (b *Breakdown) add(s *Span) {
 	for i := Stage(0); i < NumStages; i++ {
 		if s.stages[i] != 0 {
 			a.stages[i].Observe(float64(s.stages[i]))
-		}
-	}
-}
-
-// Add folds one parsed span record in (offline analysis path).
-func (b *Breakdown) Add(rec SpanRecord) {
-	a := b.agg(rec.Type)
-	a.total.Observe(float64(rec.Total()))
-	for name, v := range rec.Stages {
-		if st, ok := StageByName(name); ok {
-			a.stages[st].Observe(float64(v))
 		}
 	}
 }

@@ -148,7 +148,7 @@ func TestSpanRecorderConcurrentFinish(t *testing.T) {
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadSpans(strings.NewReader(sb.String()))
+	recs, err := readSpans(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,16 +58,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// StageByName returns the stage with the given short name.
-func StageByName(name string) (Stage, bool) {
-	for i, n := range stageNames {
-		if n == name {
-			return Stage(i), true
-		}
-	}
-	return 0, false
-}
-
 // Span accumulates the per-stage latency breakdown of one packet. It
 // is created by a SpanRecorder at packet creation, carried on the
 // packet through segmentation, stitching and un-stitching (every flit
@@ -273,22 +263,4 @@ func (r *SpanRecorder) Flush() error {
 		return nil
 	}
 	return r.w.Flush()
-}
-
-// ReadSpans parses a JSONL stream back into span records, skipping
-// lines of other kinds (wire-trace events can share the file).
-func ReadSpans(rd io.Reader) ([]SpanRecord, error) {
-	dec := json.NewDecoder(rd)
-	var out []SpanRecord
-	for dec.More() {
-		var rec SpanRecord
-		if err := dec.Decode(&rec); err != nil {
-			return out, err
-		}
-		if rec.Kind != "span" {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out, nil
 }

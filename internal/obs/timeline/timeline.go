@@ -9,7 +9,9 @@
 //     "which switch/CU/controller costs the most real time".
 //   - Windowed tracks: per-link utilization and per-queue occupancy
 //     aggregated into fixed cycle windows — the raw material for the
-//     congestion heatmap.
+//     congestion heatmap — plus per-window event counts (a
+//     controller's ejections, stitches, trims, pooling and
+//     un-stitching).
 //   - State dwells: how long a transaction (identified by its TraceID)
 //     sat in each pipeline state, fed by internal/txn, so a single
 //     request can be followed CU → TLB → DRAM → RDMA → controller.
@@ -65,10 +67,11 @@ type Event struct {
 }
 
 // Track is one named event stream of a Timeline. Windowed tracks
-// (NewUtilTrack, NewOccupancyTrack) aggregate observations into fixed
-// cycle windows, emitting one ring event per non-empty window and
-// retaining the full per-window history for the heatmap; dwell tracks
-// emit one event per closed dwell. A nil *Track records nothing.
+// (NewUtilTrack, NewOccupancyTrack, NewCountTrack) aggregate
+// observations into fixed cycle windows, emitting one ring event per
+// non-empty window and retaining the full per-window history for the
+// heatmap; dwell tracks emit one event per closed dwell. A nil *Track
+// records nothing.
 type Track struct {
 	tl     *Timeline
 	id     int32
@@ -200,6 +203,13 @@ func (tl *Timeline) NewUtilTrack(name string, window sim.Cycle, capacityPerCycle
 // window's maximum observation (queue depth peaks).
 func (tl *Timeline) NewOccupancyTrack(name string, window sim.Cycle) *Track {
 	return tl.newTrack(name, kindWindow, AggMax, window, 0)
+}
+
+// NewCountTrack registers a windowed event-count track: observations sum
+// per window with no capacity, so it exports as a counter but is not a
+// heatmap row (controller stitch/trim/pool events).
+func (tl *Timeline) NewCountTrack(name string, window sim.Cycle) *Track {
+	return tl.newTrack(name, kindWindow, AggSum, window, 0)
 }
 
 // NewDwellTrack registers a dwell track; each Dwell call records one

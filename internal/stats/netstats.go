@@ -103,6 +103,41 @@ func NewNetStats() *NetStats {
 	}
 }
 
+// NetCounter is one NetStats counter with its gauge name.
+type NetCounter struct {
+	Name string // per-controller gauge suffix, e.g. "wire_bytes_total"
+	C    *Counter
+}
+
+// Counters lists the traffic counters with their gauge names: the one
+// list that metrics gauges and Merge both walk. CtlLatency is not a
+// counter and is not listed.
+func (n *NetStats) Counters() []NetCounter {
+	return []NetCounter{
+		{"flits_total", &n.FlitsTotal},
+		{"flits_stitched", &n.FlitsStitched},
+		{"items_stitched", &n.ItemsStitched},
+		{"flits_trimmed", &n.FlitsTrimmed},
+		{"packets_trimmed", &n.PacketsTrimmed},
+		{"pooled_flits", &n.PooledFlits},
+		{"ptw_flits", &n.PTWFlits},
+		{"data_flits", &n.DataFlits},
+		{"wire_bytes_total", &n.WireBytes},
+	}
+}
+
+// Merge adds o's counters and histograms into n. CtlLatency is not
+// merged.
+func (n *NetStats) Merge(o *NetStats) {
+	oc := o.Counters()
+	for i, c := range n.Counters() {
+		c.C.Add(oc[i].C.Value())
+	}
+	n.Occupancy.Merge(o.Occupancy)
+	n.FlitsByType.Merge(o.FlitsByType)
+	n.BytesByType.Merge(o.BytesByType)
+}
+
 // StitchRate returns the fraction of ejected flits carrying stitched
 // content (Fig 12).
 func (n *NetStats) StitchRate() float64 {

@@ -113,6 +113,13 @@ func (h *Histogram) Observe(bucket string, n int64) {
 	h.buckets[bucket] += n
 }
 
+// Merge adds every bucket of o into h, in o's bucket order.
+func (h *Histogram) Merge(o *Histogram) {
+	for _, b := range o.order {
+		h.Observe(b, o.buckets[b])
+	}
+}
+
 // Get returns the count in a bucket.
 func (h *Histogram) Get(bucket string) int64 { return h.buckets[bucket] }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -137,5 +138,57 @@ func TestNetStats(t *testing.T) {
 	}
 	if n.PTWShare() != 0.1 {
 		t.Fatalf("ptw share = %f", n.PTWShare())
+	}
+}
+
+// TestNetStatsCountersCoverEveryCounter pins the one-list contract:
+// every Counter field of NetStats appears in Counters exactly once, so
+// a new counter cannot miss its gauge or its Merge.
+func TestNetStatsCountersCoverEveryCounter(t *testing.T) {
+	n := NewNetStats()
+	listed := map[*Counter]bool{}
+	for _, c := range n.Counters() {
+		if listed[c.C] {
+			t.Fatalf("counter %s listed twice", c.Name)
+		}
+		listed[c.C] = true
+	}
+	v := reflect.ValueOf(n).Elem()
+	fields := 0
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Type() != reflect.TypeOf(Counter{}) {
+			continue
+		}
+		fields++
+		if !listed[v.Field(i).Addr().Interface().(*Counter)] {
+			t.Errorf("NetStats.%s is missing from Counters()", v.Type().Field(i).Name)
+		}
+	}
+	if fields != len(listed) {
+		t.Fatalf("%d Counter fields, %d listed", fields, len(listed))
+	}
+}
+
+func TestNetStatsMerge(t *testing.T) {
+	a, b := NewNetStats(), NewNetStats()
+	for i, c := range b.Counters() {
+		c.C.Add(int64(i + 1))
+	}
+	b.Occupancy.Observe("full", 3)
+	b.FlitsByType.Observe("ReadRsp", 2)
+	b.BytesByType.Observe("custom", 7)
+	b.CtlLatency.Observe(5)
+	a.Merge(b)
+	a.Merge(b)
+	for i, c := range a.Counters() {
+		if want := 2 * int64(i+1); c.C.Value() != want {
+			t.Errorf("%s = %d after two merges, want %d", c.Name, c.C.Value(), want)
+		}
+	}
+	if a.Occupancy.Get("full") != 6 || a.FlitsByType.Get("ReadRsp") != 4 || a.BytesByType.Get("custom") != 14 {
+		t.Errorf("histograms not merged: %s / %s / %s", a.Occupancy, a.FlitsByType, a.BytesByType)
+	}
+	if a.CtlLatency.Count() != 0 {
+		t.Error("Merge folded CtlLatency, which results do not aggregate")
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"netcrafter/internal/obs/timeline"
 	"netcrafter/internal/sim"
 	"netcrafter/internal/topo"
-	"netcrafter/internal/trace"
 	"netcrafter/internal/workload"
 )
 
@@ -231,8 +230,8 @@ func RunWithLimit(cfg Config, name string, sc Scale, limit Cycle) (*Result, erro
 }
 
 // RunOnSystem executes one workload on an already-built system — use
-// when attaching a trace recorder or running several workloads on one
-// instance.
+// when attaching observability sinks or running several workloads on
+// one instance.
 func RunOnSystem(sys *System, name string, sc Scale, limit Cycle) (*Result, error) {
 	spec, err := workload.ByName(name, sc)
 	if err != nil {
@@ -301,13 +300,6 @@ func WriteCommTrace(w io.Writer, p *CommPlan) error { return comm.WritePlan(w, p
 // exported with WriteCommTrace replays to identical metrics.
 func ParseCommTrace(r io.Reader) (*CommPlan, error) { return comm.ParsePlan(r) }
 
-// TraceRecorder streams wire-level controller events as JSON lines;
-// attach one with System.AttachTrace.
-type TraceRecorder = trace.Recorder
-
-// NewTraceRecorder creates a recorder writing to w.
-func NewTraceRecorder(w io.Writer) *TraceRecorder { return trace.NewRecorder(w) }
-
 // MetricsRegistry holds named counters, gauges, latency histograms and
 // cycle-windowed time series; attach one with System.AttachObs and
 // export it with Snapshot or WriteProm.
@@ -332,13 +324,10 @@ type LatencyBreakdown = obs.Breakdown
 // SpanRecord is the JSONL export schema of one finished span.
 type SpanRecord = obs.SpanRecord
 
-// ReadSpans parses a JSONL span stream (lines of other kinds are
-// skipped, so a mixed trace file works too).
-func ReadSpans(r io.Reader) ([]SpanRecord, error) { return obs.ReadSpans(r) }
-
 // Timeline is the ring-buffered event timeline: per-component engine
-// execute slices, cycle-windowed link utilization and queue occupancy
-// tracks, and per-transaction state dwells. Attach one with
+// execute slices, cycle-windowed link utilization, queue occupancy and
+// controller event-count (eject/stitch/trim/pool/unstitch) tracks, and
+// per-transaction state dwells. Attach one with
 // System.AttachObs, call Finish after the run, then export with
 // WriteTrace (Chrome Trace Event JSON, viewable in Perfetto /
 // chrome://tracing), WriteHeatmap (terminal congestion heatmap) and
