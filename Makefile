@@ -10,7 +10,7 @@ GO ?= go
 
 .PHONY: ci fmt vet build test race benchmark-test bench bench-micro bench-micro-smoke \
 	fuzz-smoke topo-dot docs-check arch-dot sweep-smoke sweep-small \
-	staticcheck timeline-smoke comm-smoke flow-smoke shard-smoke scale-smoke
+	staticcheck timeline-smoke comm-smoke flow-smoke shard-smoke scale-smoke loc
 
 ci: fmt vet staticcheck build race benchmark-test fuzz-smoke docs-check bench-micro-smoke \
 	sweep-smoke timeline-smoke comm-smoke flow-smoke shard-smoke scale-smoke
@@ -39,6 +39,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Non-test Go lines outside the benchmark module: the size gate that
+# simplicity changes quote before and after.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l
 
 # The benchmark is a module of its own (benchmark/go.mod), so the root
 # ./... patterns skip it; its tests re-check the committed goldens

@@ -250,16 +250,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	for _, name := range names {
-		var res *netcrafter.Result
-		var err error
-		if sk.instrumented() {
-			sys := netcrafter.NewSystem(cfg)
-			sk.attach(sys)
-			res, err = netcrafter.RunOnSystem(sys, name, sc, 500_000_000)
-			sk.afterRun(sys, name, err, stdout, stderr)
-		} else {
-			res, err = netcrafter.Run(cfg, name, sc)
+		sys, err := netcrafter.BuildSystem(cfg)
+		if err != nil {
+			return fail(err)
 		}
+		sk.attach(sys)
+		res, err := netcrafter.RunOnSystem(sys, name, sc, 500_000_000)
+		sk.afterRun(sys, name, err, stdout, stderr)
 		if err != nil {
 			return fail(err)
 		}
@@ -385,14 +382,9 @@ func openSinks(f sinkFlags, stdout io.Writer) (*sinks, error) {
 	return s, nil
 }
 
-// instrumented reports whether a run must attach sinks to a system it
-// builds itself. The profiler needs no attachment: Config.Profile
-// enables it.
-func (s *sinks) instrumented() bool {
-	return s.reg != nil || s.spans != nil || s.tl != nil || s.f.inflight
-}
-
-// attach wires the sinks into sys before it runs.
+// attach wires the sinks into sys before it runs; unset sinks attach
+// as nil, which costs the run nothing. The profiler needs no
+// attachment: Config.Profile enables it.
 func (s *sinks) attach(sys *netcrafter.System) { sys.AttachObs(s.reg, s.spans, s.tl) }
 
 // afterRun closes the timeline's open windows at sys's clock and, under

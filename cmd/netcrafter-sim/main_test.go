@@ -16,6 +16,16 @@ import (
 func TestRunFlagMatrix(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-workload", "GUPS", "-scale", "tiny"}
+	// A well-formed spec the simulator cannot build: one cluster.
+	oneCluster := filepath.Join(dir, "one-cluster.json")
+	if err := os.WriteFile(oneCluster, []byte(`{
+	  "name": "one-cluster",
+	  "devices": [{"name": "gpu0", "cluster": 0}, {"name": "gpu1", "cluster": 0}],
+	  "switches": [{"name": "sw0", "cluster": 0}],
+	  "links": [{"a": "gpu0", "b": "sw0", "bw": 8}, {"a": "gpu1", "b": "sw0", "bw": 8}]
+	}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
 		args    []string
@@ -50,6 +60,16 @@ func TestRunFlagMatrix(t *testing.T) {
 		{name: "bad config", args: []string{"-config", "bogus"}, exit: 1, wantErr: []string{"unknown -config"}},
 		{name: "bad scale", args: []string{"-scale", "bogus"}, exit: 1, wantErr: []string{"unknown -scale"}},
 		{name: "bad flag", args: []string{"-no-such-flag"}, exit: 2},
+		{name: "flit too small", args: append(base, "-flit", "4"), exit: 1,
+			wantErr: []string{"flit size 4"}},
+		{name: "flow flit too small", args: []string{"-backend", "flow", "-comm", "ring-allreduce", "-scale", "tiny", "-flit", "4"}, exit: 1,
+			wantErr: []string{"flit size 4"}},
+		{name: "one-cluster topo", args: []string{"-topo", oneCluster, "-workload", "BS", "-scale", "tiny"}, exit: 1,
+			wantErr: []string{"at least two clusters"}},
+		{name: "shards comm rejected", args: []string{"-shards", "2", "-comm", "ring-allreduce", "-scale", "tiny"}, exit: 1,
+			wantErr: []string{"-shards", "-comm"}},
+		{name: "shards metrics rejected", args: append(base, "-shards", "2", "-metrics", "-"), exit: 1,
+			wantErr: []string{"-shards", "-metrics"}},
 		{name: "comm list", args: []string{"-comm", "list"}, exit: 0,
 			wantOut: []string{"ring-allreduce", "serve-poisson"}},
 		{name: "comm collective", args: []string{"-comm", "ring-allreduce", "-scale", "tiny", "-config", "baseline"}, exit: 0,

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"netcrafter/internal/cluster"
@@ -88,81 +86,26 @@ func commCells(opt Options) []commCell {
 	return cells
 }
 
-// runCommCells fans the comm cells out across the worker pool, exactly
-// like runSuites fans out workload cells: every cell builds a private
-// system, results return in submission order, all cells run even if
-// one fails, and the error is the first failure in submission order —
-// so any Parallel setting yields a byte-identical report.
+// runCommCells fans the comm cells out through the same cell pool as
+// runSuites. Comm cells apply neither Options.Profile nor
+// Options.Shards: they record no component profile, and the comm
+// runner refuses sharded systems.
 func runCommCells(opt Options, cells []commCell) ([]*comm.Result, error) {
-	type cellOut struct {
-		res *comm.Result
-		err error
-	}
-	n := len(cells)
-	out := make([]cellOut, n)
-	workers := opt.parallelism(n)
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-		pmu  sync.Mutex
-		done int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				c := cells[i]
-				t0 := time.Now()
-				cfg := cluster.Baseline()
-				if c.cfg != nil {
-					cfg = *c.cfg
-				}
-				cfg.Backend = c.backend
-				r, err := cluster.RunCommOne(cfg, c.prog, c.sc, opt.Limit)
-				out[i] = cellOut{res: r, err: err}
-
-				var cycles sim.Cycle
-				var wall time.Duration
-				if r != nil {
-					cycles, wall = r.Cycles, r.Wall
-				}
-				if wall == 0 {
-					wall = time.Since(t0)
-				}
-				opt.stats.add(cycles, wall)
-				if opt.Progress != nil {
-					pmu.Lock()
-					done++
-					opt.Progress(Progress{
-						Experiment: opt.exp,
-						Workload:   c.label,
-						Cell:       done,
-						Cells:      n,
-						SimCycles:  cycles,
-						Wall:       wall,
-						Err:        err,
-					})
-					pmu.Unlock()
-				}
+	label := func(i int) (string, int) { return cells[i].label, 0 }
+	return runCells(opt, len(cells), label,
+		func(i int) (*comm.Result, sim.Cycle, time.Duration, error) {
+			c := cells[i]
+			cfg := cluster.Baseline()
+			if c.cfg != nil {
+				cfg = *c.cfg
 			}
-		}()
-	}
-	wg.Wait()
-	for i := range out {
-		if out[i].err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", cells[i].label, out[i].err)
-		}
-	}
-	res := make([]*comm.Result, n)
-	for i := range out {
-		res[i] = out[i].res
-	}
-	return res, nil
+			cfg.Backend = c.backend
+			r, err := cluster.RunCommOne(cfg, c.prog, c.sc, opt.Limit)
+			if r == nil {
+				return nil, 0, 0, err
+			}
+			return r, r.Cycles, r.Wall, err
+		})
 }
 
 // extCollective reports one row per communication cell: makespan,

@@ -1,12 +1,6 @@
 package bench
 
-import (
-	"fmt"
-
-	"netcrafter/internal/cluster"
-	"netcrafter/internal/obs"
-	"netcrafter/internal/workload"
-)
+import "netcrafter/internal/obs"
 
 // MetricsReport renders a registry snapshot as a one-column Report:
 // one row per metric, histograms expanded into count/mean/quantile
@@ -38,24 +32,4 @@ func BreakdownReport(b *obs.Breakdown) *Report {
 		r.AddRow(typ, vals...)
 	}
 	return r
-}
-
-// ObservedRun executes one workload on a fresh system with the full
-// observability layer attached and returns the run result together
-// with the populated registry and the per-stage latency breakdown.
-func ObservedRun(cfg cluster.Config, name string, opt Options) (*cluster.Result, *obs.Registry, *obs.Breakdown, error) {
-	opt = opt.withDefaults()
-	spec, err := workload.ByName(name, opt.Scale)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sys := cluster.New(cfg)
-	reg := obs.NewRegistry()
-	rec := obs.NewSpanRecorder(nil)
-	sys.AttachObs(reg, rec, nil)
-	res, err := sys.RunWorkload(spec, opt.Limit)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bench: %s: %w", name, err)
-	}
-	return res, reg, rec.Breakdown(), nil
 }

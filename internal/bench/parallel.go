@@ -154,32 +154,25 @@ func cellKey(o Options, i int) (cfg int, workload string) {
 	return i / len(o.Workloads), o.Workloads[i%len(o.Workloads)]
 }
 
-// runSuites executes the full (configuration x workload) matrix through
-// a worker pool and returns one per-workload result map per
-// configuration, in argument order. All cells run even if one fails;
-// the error returned is the first failing cell in submission order, so
-// failures are as deterministic as successes. This is the fan-out point
-// of every experiment: batching all of an experiment's configurations
-// into one call keeps the pool saturated across suite boundaries.
-func runSuites(opt Options, cfgs ...cluster.Config) ([]map[string]*cluster.Result, error) {
-	type cellOut struct {
-		res *cluster.Result
-		err error
-	}
-	n := len(cfgs) * len(opt.Workloads)
-	if n == 0 {
-		return make([]map[string]*cluster.Result, len(cfgs)), nil
-	}
-	out := make([]cellOut, n)
-
-	workers := opt.parallelism(n)
+// runCells is the worker pool every experiment fans out through: n
+// independent cells, run(i) simulating cell i on a private system and
+// returning its result with the simulated cycles and host wall time it
+// covered (0 wall = time the call). label(i) names the cell and its
+// configuration index for Progress events and errors. All cells run
+// even if one fails; results come back in submission order and the
+// error returned is the first failing cell in submission order, so
+// failures are as deterministic as successes.
+func runCells[R any](opt Options, n int, label func(i int) (string, int),
+	run func(i int) (R, sim.Cycle, time.Duration, error)) ([]R, error) {
+	out := make([]R, n)
+	errs := make([]error, n)
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
 		pmu  sync.Mutex // serializes Progress callbacks and the done count
 		done int
 	)
-	for w := 0; w < workers; w++ {
+	for w := opt.parallelism(n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -188,29 +181,15 @@ func runSuites(opt Options, cfgs ...cluster.Config) ([]map[string]*cluster.Resul
 				if i >= n {
 					return
 				}
-				ci, name := cellKey(opt, i)
-				cfg := cfgs[ci] // value copy: per-cell tweaks stay local
-				if opt.Profile {
-					cfg.Profile = true
-				}
-				if opt.Shards > 1 && cfg.Shards == 0 {
-					cfg.Shards = opt.Shards
-				}
 				t0 := time.Now()
-				r, err := cluster.RunOne(cfg, name, opt.Scale, opt.Limit)
-				out[i] = cellOut{res: r, err: err}
-
-				var cycles sim.Cycle
-				var wall time.Duration
-				if r != nil {
-					cycles, wall = r.Cycles, r.Wall
-					opt.stats.addProfile(r.Components)
-				}
+				r, cycles, wall, err := run(i)
+				out[i], errs[i] = r, err
 				if wall == 0 {
 					wall = time.Since(t0)
 				}
 				opt.stats.add(cycles, wall)
 				if opt.Progress != nil {
+					name, ci := label(i)
 					pmu.Lock()
 					done++
 					opt.Progress(Progress{
@@ -229,18 +208,50 @@ func runSuites(opt Options, cfgs ...cluster.Config) ([]map[string]*cluster.Resul
 		}()
 	}
 	wg.Wait()
-
-	for i := range out {
-		if out[i].err != nil {
-			_, name := cellKey(opt, i)
-			return nil, fmt.Errorf("bench: %s: %w", name, out[i].err)
+	for i, err := range errs {
+		if err != nil {
+			name, _ := label(i)
+			return nil, fmt.Errorf("bench: %s: %w", name, err)
 		}
+	}
+	return out, nil
+}
+
+// runSuites executes the full (configuration x workload) matrix through
+// the cell pool and returns one per-workload result map per
+// configuration, in argument order. This is the fan-out point of every
+// workload experiment: batching all of an experiment's configurations
+// into one call keeps the pool saturated across suite boundaries.
+func runSuites(opt Options, cfgs ...cluster.Config) ([]map[string]*cluster.Result, error) {
+	label := func(i int) (string, int) {
+		ci, name := cellKey(opt, i)
+		return name, ci
+	}
+	out, err := runCells(opt, len(cfgs)*len(opt.Workloads), label,
+		func(i int) (*cluster.Result, sim.Cycle, time.Duration, error) {
+			ci, name := cellKey(opt, i)
+			cfg := cfgs[ci] // value copy: per-cell tweaks stay local
+			if opt.Profile {
+				cfg.Profile = true
+			}
+			if opt.Shards > 1 && cfg.Shards == 0 {
+				cfg.Shards = opt.Shards
+			}
+			r, err := cluster.RunOne(cfg, name, opt.Scale, opt.Limit)
+			if r == nil {
+				return nil, 0, 0, err
+			}
+			opt.stats.addProfile(r.Components)
+			return r, r.Cycles, r.Wall, err
+		})
+	if err != nil {
+		return nil, err
 	}
 	results := make([]map[string]*cluster.Result, len(cfgs))
 	for ci := range cfgs {
 		m := make(map[string]*cluster.Result, len(opt.Workloads))
 		for wi, name := range opt.Workloads {
-			m[name] = out[ci*len(opt.Workloads)+wi].res
+			m[name] = out[ci*len(opt.Workloads)+wi]
 		}
 		results[ci] = m
 	}

@@ -56,7 +56,8 @@ func TestOptionsShardsInvariant(t *testing.T) {
 	opt = tinyOpts("GUPS")
 	opt.Shards = 2
 	opt.Backend = cluster.BackendFlow
-	if _, err := Run("ext-collective", opt); err == nil || !strings.Contains(err.Error(), "shard") {
-		t.Fatalf("flow backend accepted Shards=2: %v", err)
+	if _, err := Run("ext-collective", opt); err == nil ||
+		!strings.Contains(err.Error(), "Shards=2") || !strings.Contains(err.Error(), `backend "flow" cannot shard`) {
+		t.Fatalf("flow backend with Shards=2: %v, want a refusal naming both", err)
 	}
 }

@@ -23,9 +23,6 @@ const (
 	BackendFlow Backend = "flow"
 )
 
-// Backends lists the valid backend names.
-func Backends() []string { return []string{string(BackendCycle), string(BackendFlow)} }
-
 // ParseBackend resolves a backend name; the empty string means cycle
 // (the historical default — configurations predating the selector keep
 // their behavior).

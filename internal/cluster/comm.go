@@ -34,7 +34,7 @@ func commAddr(dst int, off uint64) uint64 {
 // dwell track. Repeated calls on one system run back to back on the
 // engine's clock.
 func (s *System) RunComm(p *comm.Plan, opt comm.Options, limit sim.Cycle) (*comm.Result, error) {
-	if s.coord != nil {
+	if s.Shards() > 1 {
 		return nil, fmt.Errorf("cluster: the comm runner registers global injectors and a shared tracker and needs the serial engine: run with Shards <= 1")
 	}
 	if err := p.Validate(); err != nil {
@@ -62,12 +62,13 @@ func (s *System) RunComm(p *comm.Plan, opt comm.Options, limit sim.Cycle) (*comm
 		s.Engine.Register(name, inj)
 	}
 	s.commRuns++
-	wallStart := s.Engine.WallTime()
-	if _, err := s.Engine.RunUntil(func() bool { return tk.Done() && s.AllIdle() }, limit); err != nil {
+	wallStart := s.coord.Wall()
+	done := []func() bool{func() bool { return tk.Done() && s.AllIdle() }}
+	if _, err := s.coord.RunUntil(done, limit); err != nil {
 		return nil, fmt.Errorf("cluster: comm %s: %w", p.Name, err)
 	}
 	res := tk.Result()
-	res.Wall = s.Engine.WallTime() - wallStart
+	res.Wall = s.coord.Wall() - wallStart
 	return res, nil
 }
 

@@ -3,12 +3,14 @@ package cluster
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"netcrafter/internal/comm"
 	"netcrafter/internal/obs"
 	"netcrafter/internal/obs/timeline"
 	"netcrafter/internal/topo"
+	"netcrafter/internal/workload"
 )
 
 // TestRunCommRingAllReduce is the collective acceptance check: a ring
@@ -20,10 +22,7 @@ func TestRunCommRingAllReduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Build(Baseline())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := mustBuild(t, Baseline())
 	r, err := sys.RunComm(p, comm.Options{}, testLimit)
 	if err != nil {
 		t.Fatal(err)
@@ -47,10 +46,7 @@ func TestRunCommRingAllReduce(t *testing.T) {
 // TestRunCommServeTail: the open-loop serving workload completes every
 // request and reports ordered tail percentiles.
 func TestRunCommServeTail(t *testing.T) {
-	sys, err := Build(Baseline())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := mustBuild(t, Baseline())
 	r, err := sys.RunCommByName("serve-poisson", comm.Tiny(), comm.Options{}, testLimit)
 	if err != nil {
 		t.Fatal(err)
@@ -79,10 +75,7 @@ func TestCommReplayMatchesGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(p *comm.Plan) *comm.Result {
-		sys, err := Build(Baseline())
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := mustBuild(t, Baseline())
 		r, err := sys.RunComm(p, comm.Options{}, testLimit)
 		if err != nil {
 			t.Fatal(err)
@@ -111,10 +104,7 @@ func TestCommReplayMatchesGenerator(t *testing.T) {
 // determinism guarantee — same plan, same system, same cycle count.
 func TestCommDeterministicCycles(t *testing.T) {
 	run := func() *comm.Result {
-		sys, err := Build(Baseline())
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := mustBuild(t, Baseline())
 		r, err := sys.RunCommByName("alltoall", comm.Tiny(), comm.Options{}, testLimit)
 		if err != nil {
 			t.Fatal(err)
@@ -158,10 +148,7 @@ func TestCommBytesConservedAcrossTopologies(t *testing.T) {
 // land in the comm histogram and the dwell track; a second run on the
 // same system registers under fresh component names.
 func TestRunCommObsWiring(t *testing.T) {
-	sys, err := Build(Baseline())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := mustBuild(t, Baseline())
 	reg := obs.NewRegistry()
 	tl := timeline.New(0)
 	sys.AttachObs(reg, nil, tl)
@@ -186,14 +173,31 @@ func TestRunCommObsWiring(t *testing.T) {
 
 // TestRunCommRejects: plans that do not fit the system fail up front.
 func TestRunCommRejects(t *testing.T) {
-	sys, err := Build(Baseline())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := mustBuild(t, Baseline())
 	if _, err := sys.RunCommByName("ring-allreduce", comm.Scale{GPUs: 8}, comm.Options{}, testLimit); err == nil {
 		t.Fatal("8-GPU plan accepted on 4-GPU system")
 	}
 	if _, err := sys.RunCommByName("nope", comm.Tiny(), comm.Options{}, testLimit); err == nil {
 		t.Fatal("unknown program accepted")
+	}
+}
+
+// TestFlowBackendRefusals pins the flow backend's two refusals, each
+// naming its conflict: memory-trace workloads need the cycle backend,
+// and sharding partitions the cycle engine the flow solver never
+// builds.
+func TestFlowBackendRefusals(t *testing.T) {
+	cfg := Baseline()
+	cfg.Backend = BackendFlow
+	if _, err := RunOne(cfg, "GUPS", workload.Tiny(), testLimit); err == nil || !strings.Contains(err.Error(), "needs the cycle backend") {
+		t.Errorf("RunOne on the flow backend: %v, want a cycle-backend refusal", err)
+	}
+	p, err := comm.ByName("ring-allreduce", comm.Scale{GPUs: 4, Bytes: comm.Tiny().Bytes, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Shards = 2
+	if _, err := RunCommPlan(cfg, p, comm.Options{}, testLimit); err == nil || !strings.Contains(err.Error(), "Shards=2") {
+		t.Errorf("RunCommPlan on the flow backend with Shards=2: %v, want a sharding refusal", err)
 	}
 }

@@ -43,7 +43,7 @@ func checkMetricsGolden(t *testing.T, reg *obs.Registry, name string) {
 // value of a NetCrafter workload run: per-GPU gauges and histograms,
 // the controller gauges and series, and the inter-link gauges.
 func TestMetricsGoldenWorkload(t *testing.T) {
-	sys := New(WithNetCrafter())
+	sys := mustBuild(t, WithNetCrafter())
 	reg := obs.NewRegistry()
 	sys.AttachObs(reg, nil, nil)
 	spec, err := workload.ByName("GUPS", workload.Tiny())
@@ -61,7 +61,7 @@ func TestMetricsGoldenWorkload(t *testing.T) {
 // taper<i> gauges and whose run adds the comm latency histogram.
 func TestMetricsGoldenTaperComm(t *testing.T) {
 	cfg := WithNetCrafter().WithTopology(topo.FatTree(4, 1, 8, 4, 2, 1))
-	sys := New(cfg)
+	sys := mustBuild(t, cfg)
 	if len(sys.TaperLinks) == 0 {
 		t.Fatal("fabric has no taper links; the golden would not cover taper<i> gauges")
 	}

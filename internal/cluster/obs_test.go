@@ -17,7 +17,7 @@ import (
 // ids linking back to their requests, and a populated registry.
 func TestSpansTileEndToEnd(t *testing.T) {
 	var buf strings.Builder
-	sys := New(WithNetCrafter())
+	sys := mustBuild(t, WithNetCrafter())
 	reg := obs.NewRegistry()
 	rec := obs.NewSpanRecorder(&buf)
 	sys.AttachObs(reg, rec, nil)
@@ -100,7 +100,7 @@ func TestSpansTileEndToEnd(t *testing.T) {
 func TestTimelineEndToEnd(t *testing.T) {
 	cfg := WithNetCrafter()
 	cfg.Profile = true
-	sys := New(cfg)
+	sys := mustBuild(t, cfg)
 	tl := timeline.New(0)
 	sys.AttachObs(nil, nil, tl)
 
@@ -183,7 +183,7 @@ func TestAttachObsNilIsFree(t *testing.T) {
 		if mode == 2 {
 			cfg.Profile = true
 		}
-		sys := New(cfg)
+		sys := mustBuild(t, cfg)
 		switch mode {
 		case 1:
 			sys.AttachObs(nil, nil, nil)

@@ -113,12 +113,12 @@ func waveSeed(seed uint64, kernel, cta, wave int) uint64 {
 // boundaries under software coherence). It returns the aggregated
 // result or an error if the cycle limit is exceeded.
 func (s *System) RunWorkload(spec *workload.Spec, limit sim.Cycle) (*Result, error) {
-	if s.coord != nil && (s.obsReg != nil || s.obsTL != nil || s.obsSpans) {
+	if s.Shards() > 1 && (s.obsReg != nil || s.obsTL != nil || s.obsSpans) {
 		return nil, fmt.Errorf("cluster: observability sinks (metrics, spans, timeline) are shared across components and need the serial engine: run with Shards <= 1")
 	}
 	s.Load(spec)
 	start := s.Engine.Now()
-	wallStart := s.simWall()
+	wallStart := s.coord.Wall()
 	for ki, k := range spec.Kernels {
 		placement := lasp.ScheduleCTAs(k, s.cfg.GPUs)
 		for cta := 0; cta < k.CTAs; cta++ {
@@ -128,7 +128,7 @@ func (s *System) RunWorkload(spec *workload.Spec, limit sim.Cycle) (*Result, err
 				g.EnqueueWave(k.NewProgram(cta, w, rng), s.Engine.Now())
 			}
 		}
-		if _, err := s.runUntilIdle(limit); err != nil {
+		if _, err := s.coord.RunUntil(s.idleFns, limit); err != nil {
 			return nil, fmt.Errorf("cluster: %s kernel %s: %w", spec.Name, k.Name, err)
 		}
 		for _, g := range s.GPUs {
@@ -136,7 +136,7 @@ func (s *System) RunWorkload(spec *workload.Spec, limit sim.Cycle) (*Result, err
 		}
 	}
 	r := s.collect(spec.Name, s.Engine.Now()-start)
-	r.Wall = s.simWall() - wallStart
+	r.Wall = s.coord.Wall() - wallStart
 	r.Components = s.profile()
 	return r, nil
 }
@@ -196,6 +196,9 @@ func RunOne(cfg Config, name string, sc workload.Scale, limit sim.Cycle) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	sys := New(cfg)
+	sys, err := Build(cfg)
+	if err != nil {
+		return nil, err
+	}
 	return sys.RunWorkload(spec, limit)
 }

@@ -17,10 +17,7 @@ func buildPreset(t *testing.T, name string, shards int) *System {
 	}
 	cfg := WithNetCrafter().WithTopology(g)
 	cfg.Shards = shards
-	sys, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := mustBuild(t, cfg)
 	return sys
 }
 

@@ -46,7 +46,7 @@ func runSharded(t *testing.T, preset string, shards int) (*Result, *System) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := New(cfg)
+	sys := mustBuild(t, cfg)
 	res, err := sys.RunWorkload(spec, 50_000_000)
 	if err != nil {
 		t.Fatalf("%s shards=%d: %v", preset, shards, err)
@@ -140,13 +140,13 @@ func TestShardRefusesObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := New(cfg)
+	sys := mustBuild(t, cfg)
 	sys.AttachObs(nil, nil, timeline.New(0))
 	if _, err := sys.RunWorkload(spec, 50_000_000); err == nil {
 		t.Fatal("sharded run with a timeline attached was not refused")
 	}
 
-	sys = New(cfg)
+	sys = mustBuild(t, cfg)
 	if _, err := sys.RunCommByName("ring-allreduce", comm.Tiny(), comm.Options{}, 50_000_000); err == nil {
 		t.Fatal("sharded comm run was not refused")
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"netcrafter/internal/core"
 	"netcrafter/internal/flit"
@@ -67,10 +66,11 @@ type Config struct {
 	Backend Backend
 	// Shards partitions the simulation at cluster-boundary links and
 	// runs each partition's engine on its own goroutine (internal/
-	// shard), bit-identical to serial execution. 0 or 1 means serial;
-	// counts above the cluster count clamp down. Cycle backend only;
-	// shared observability sinks (metrics, spans, timeline) and the
-	// comm runner require Shards <= 1.
+	// shard), bit-identical to serial execution. 0 or 1 means one shard:
+	// the serial engine, driven on the caller's goroutine. Counts above
+	// the cluster count clamp down. Cycle backend only; shared
+	// observability sinks (metrics, spans, timeline) and the comm runner
+	// require Shards <= 1.
 	Shards int
 }
 
@@ -143,6 +143,9 @@ func (c Config) resolve() (Config, *topo.Graph, error) {
 	if c.GPU.FlitBytes == 0 {
 		c.GPU.FlitBytes = flit.DefaultFlitBytes
 	}
+	if c.GPU.FlitBytes <= flit.StitchMetaBytes {
+		return c, nil, fmt.Errorf("cluster: flit size %d bytes is too small: a flit must hold more than the %d-byte stitch metadata", c.GPU.FlitBytes, flit.StitchMetaBytes)
+	}
 	if c.Topo != nil {
 		g := c.Topo
 		if err := g.Validate(); err != nil {
@@ -191,16 +194,13 @@ func (f *frameAlloc) AllocFrame(g int) uint64 {
 
 // System is one built multi-GPU node ready to run workloads.
 type System struct {
-	// Engine and Sched are the first (and, when Config.Shards <= 1,
-	// only) shard's engine and scheduler. All shard engines advance in
-	// lockstep, so Engine.Now() is the system clock regardless of the
-	// shard count.
+	// Engine is the first (and, when Config.Shards <= 1, only) shard's
+	// engine. All shard engines advance in lockstep, so Engine.Now() is
+	// the system clock regardless of the shard count.
 	Engine *sim.Engine
-	Sched  *sim.Scheduler
-	// Engines/Scheds hold one engine and scheduler per shard, in shard
-	// order (length 1 for a serial system).
+	// Engines holds one engine per shard, in shard order (length 1 for a
+	// serial system).
 	Engines []*sim.Engine
-	Scheds  []*sim.Scheduler
 	GPUs    []*gpu.GPU
 	// Controllers holds the NetCrafter controllers, one per taper point
 	// of the fabric (topo.Placement): every clustered endpoint of every
@@ -241,15 +241,13 @@ type System struct {
 	obsReg   *obs.Registry
 	obsTL    *timeline.Timeline
 	commRuns int
-	// coord drives the shard engines in lockstep when Config.Shards
-	// partitioned the system (nil = serial); idleFns are the per-shard
-	// done predicates (each shard's GPUs drained), shardGPUs the GPU
-	// ownership behind them. obsSpans records that a span recorder was
+	// coord is the run loop over the shard engines (one engine for a
+	// serial system); idleFns are the per-shard done predicates (each
+	// shard's GPUs drained). obsSpans records that a span recorder was
 	// attached, a shared sink that sharded runs refuse.
-	coord     *shard.Coordinator
-	idleFns   []func() bool
-	shardGPUs [][]*gpu.GPU
-	obsSpans  bool
+	coord    *shard.Coordinator
+	idleFns  []func() bool
+	obsSpans bool
 }
 
 // graphTopology implements gpu.Topology from the device list of a
@@ -259,16 +257,6 @@ type graphTopology struct{ clusters []flit.ClusterID }
 func (t graphTopology) HomeGPU(paddr uint64) int       { return int(paddr / gpuFrameSpan) }
 func (t graphTopology) DeviceOf(g int) flit.DeviceID   { return flit.DeviceID(g) }
 func (t graphTopology) ClusterOf(g int) flit.ClusterID { return t.clusters[g] }
-
-// New builds the system, panicking on an invalid configuration (Build
-// is the error-returning variant for caller-supplied topologies).
-func New(cfg Config) *System {
-	s, err := Build(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return s
-}
 
 // Build validates the configuration (and its topology, when given) and
 // instantiates the system.
@@ -298,42 +286,31 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 		alloc:     &frameAlloc{next: make([]uint64, len(g.Devices))},
 		rng:       sim.NewRand(cfg.Seed),
 	}
-	// Partition clusters across shards (nil plan = serial), weighting
-	// clusters by their device count so uneven fabrics split by GPU
-	// load. Each shard gets its own engine and scheduler; every
-	// component registers in its owning shard's engine, in the serial
-	// registration order filtered to ownership, so each shard's tick
-	// order is the serial order restricted to its components.
+	// Partition clusters across shards (a serial system is the one-shard
+	// plan), weighting clusters by their device count so uneven fabrics
+	// split by GPU load. Each shard gets its own engine and scheduler;
+	// every component registers in its owning shard's engine, in the
+	// serial registration order filtered to ownership, so each shard's
+	// tick order is the serial order restricted to its components.
 	clusterWeights := make([]int, s.nClusters)
 	for _, d := range g.Devices {
 		clusterWeights[d.Cluster]++
 	}
 	plan := shard.PlanForWeights(clusterWeights, cfg.Shards)
-	nShards := 1
-	if plan != nil {
-		nShards = plan.N
-	}
-	shardOf := func(cluster int) int {
-		if plan == nil {
-			return 0
-		}
-		return plan.Of(cluster)
-	}
+	nShards := plan.Shards()
 	s.Engines = make([]*sim.Engine, nShards)
-	s.Scheds = make([]*sim.Scheduler, nShards)
-	s.shardGPUs = make([][]*gpu.GPU, nShards)
+	scheds := make([]*sim.Scheduler, nShards)
+	shardGPUs := make([][]*gpu.GPU, nShards)
 	for i := range s.Engines {
 		s.Engines[i] = sim.NewEngine()
-		s.Scheds[i] = sim.NewScheduler()
+		scheds[i] = sim.NewScheduler()
 		if cfg.Profile {
 			s.Engines[i].EnableProfile()
 		}
-		s.Engines[i].Register("sched", s.Scheds[i])
+		s.Engines[i].Register("sched", scheds[i])
 	}
-	s.Engine, s.Sched = s.Engines[0], s.Scheds[0]
-	if plan != nil {
-		s.coord = shard.NewCoordinator(s.Engines)
-	}
+	s.Engine = s.Engines[0]
+	s.coord = shard.NewCoordinator(s.Engines)
 	s.PT = vm.NewPageTable(s.alloc)
 
 	clusters := make([]flit.ClusterID, len(g.Devices))
@@ -348,10 +325,10 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 		s.Tables[c] = txn.NewTable(fmt.Sprintf("cluster%d", c))
 	}
 	for i, d := range g.Devices {
-		sh := shardOf(d.Cluster)
-		gp := gpu.New(i, cfg.GPU, tp, s.PT, s.Tables[d.Cluster], s.Scheds[sh])
+		sh := plan.Of(d.Cluster)
+		gp := gpu.New(i, cfg.GPU, tp, s.PT, s.Tables[d.Cluster], scheds[sh])
 		s.GPUs = append(s.GPUs, gp)
-		s.shardGPUs[sh] = append(s.shardGPUs[sh], gp)
+		shardGPUs[sh] = append(shardGPUs[sh], gp)
 	}
 
 	sws := make(map[string]*network.Switch, len(g.Switches))
@@ -431,13 +408,13 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 		cc.EjectRate = egressRate
 		ctl := core.NewController(ctlName, flit.ClusterID(cluster), remoteClusters, cc)
 		s.Controllers = append(s.Controllers, ctl)
-		ctlShard = append(ctlShard, shardOf(cluster))
+		ctlShard = append(ctlShard, plan.Of(cluster))
 		if lbw == 0 {
 			lbw = localBW[swName]
 		}
 		local := network.NewLink("l."+ctlName, ctl.Local, addPort(sw, portName, far, lbw), lbw, lat)
 		s.Links = append(s.Links, local)
-		s.Engines[shardOf(cluster)].Register(local.Name, local)
+		s.Engines[plan.Of(cluster)].Register(local.Name, local)
 		return ctl.Remote
 	}
 
@@ -477,7 +454,7 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 			}
 			link := network.NewAsymLink("l."+dev, ends[0], ends[1], ab, ba, ln.Latency)
 			s.Links = append(s.Links, link)
-			s.Engines[shardOf(g.Devices[gi].Cluster)].Register(link.Name, link)
+			s.Engines[plan.Of(g.Devices[gi].Cluster)].Register(link.Name, link)
 		case !pl.AtA[li] && !pl.AtB[li]:
 			// Unguarded switch-switch link: intra-cluster or backbone-
 			// internal at the switch's full tier rate (a boundary link
@@ -487,7 +464,7 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 			pb := addPort(sws[ln.B], ln.B+"."+ln.A, ln.A, max(ab, ba))
 			link := network.NewAsymLink("l."+ln.A+"-"+ln.B, pa, pb, ab, ba, ln.Latency)
 			s.Links = append(s.Links, link)
-			s.Engines[shardOf(swCluster[ln.A])].Register(link.Name, link)
+			s.Engines[plan.Of(swCluster[ln.A])].Register(link.Name, link)
 		default:
 			// A taper point on at least one side: controllers guard the
 			// tapered endpoints; an unguarded endpoint (backbone side of
@@ -520,8 +497,8 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 				s.TaperLinks = append(s.TaperLinks, link)
 			}
 			s.Links = append(s.Links, link)
-			shA := shardOf(swCluster[ln.A])
-			shB := shardOf(swCluster[ln.B])
+			shA := plan.Of(swCluster[ln.A])
+			shB := plan.Of(swCluster[ln.B])
 			if shA == shB {
 				s.Engines[shA].Register(name, link)
 			} else {
@@ -564,13 +541,13 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 
 	// Register remaining tickers in deterministic order.
 	for _, sn := range g.Switches {
-		s.Engines[shardOf(sn.Cluster)].Register(sn.Name, sws[sn.Name])
+		s.Engines[plan.Of(sn.Cluster)].Register(sn.Name, sws[sn.Name])
 	}
 	for ci, ctl := range s.Controllers {
 		s.Engines[ctlShard[ci]].Register(ctl.Name, ctl)
 	}
 	for gi, gp := range s.GPUs {
-		eng := s.Engines[shardOf(g.Devices[gi].Cluster)]
+		eng := s.Engines[plan.Of(g.Devices[gi].Cluster)]
 		for i, t := range gp.Tickers() {
 			eng.Register(fmt.Sprintf("%s.t%d", gp.Name, i), t)
 		}
@@ -580,7 +557,7 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 	// non-idle, so the conjunction over shards equals AllIdle).
 	s.idleFns = make([]func() bool, nShards)
 	for i := range s.idleFns {
-		gs := s.shardGPUs[i]
+		gs := shardGPUs[i]
 		s.idleFns[i] = func() bool {
 			for _, g := range gs {
 				if !g.Idle() {
@@ -606,42 +583,13 @@ func (s *System) Shards() int { return len(s.Engines) }
 // BoundaryFlows returns the cumulative cross-shard boundary traffic per
 // direction (nil for a serial system) — every byte staged out of a
 // shard must have been delivered into its peer.
-func (s *System) BoundaryFlows() []shard.BoundaryFlow {
-	if s.coord == nil {
-		return nil
-	}
-	return s.coord.BoundaryFlows()
-}
-
-// runUntilIdle drives the simulation until the system drains or the
-// cycle limit hits: the serial engine directly, or all shard engines in
-// lockstep through the coordinator. Both paths stop at the same cycle
-// with the same error by the shard package's equivalence contract.
-func (s *System) runUntilIdle(limit sim.Cycle) (sim.Cycle, error) {
-	if s.coord != nil {
-		return s.coord.RunUntil(s.idleFns, limit)
-	}
-	return s.Engine.RunUntil(s.AllIdle, limit)
-}
-
-// simWall returns the host wall-clock time spent driving the
-// simulation so far (the coordinator's clock when sharded — shard
-// engines are stepped directly and never accumulate their own).
-func (s *System) simWall() time.Duration {
-	if s.coord != nil {
-		return s.coord.Wall()
-	}
-	return s.Engine.WallTime()
-}
+func (s *System) BoundaryFlows() []shard.BoundaryFlow { return s.coord.BoundaryFlows() }
 
 // profile returns the per-component host-time self-profile, merging the
-// per-shard engines' profiles when sharded (rows with the same name —
-// the per-shard schedulers — sum; order is host time descending, name
-// ascending, matching sim.Engine.Profile).
+// per-shard engines' profiles (rows with the same name — the per-shard
+// schedulers — sum; order is host time descending, name ascending,
+// matching sim.Engine.Profile).
 func (s *System) profile() []sim.ComponentCost {
-	if len(s.Engines) == 1 {
-		return s.Engine.Profile()
-	}
 	byName := map[string]int{}
 	var out []sim.ComponentCost
 	for _, e := range s.Engines {

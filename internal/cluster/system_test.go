@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"netcrafter/internal/core"
@@ -12,6 +13,16 @@ import (
 )
 
 const testLimit = sim.Cycle(30_000_000)
+
+// mustBuild builds cfg's system, failing the test on a build error.
+func mustBuild(t *testing.T, cfg Config) *System {
+	t.Helper()
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
 
 func tinyRun(t *testing.T, cfg Config, name string) *Result {
 	t.Helper()
@@ -148,7 +159,7 @@ func TestSectorModeRaisesMPKIOnGather(t *testing.T) {
 }
 
 func TestPTECoLocationInvariant(t *testing.T) {
-	sys := New(Baseline())
+	sys := mustBuild(t, Baseline())
 	spec, err := workload.ByName("GUPS", workload.Tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +187,7 @@ func TestPTECoLocationInvariant(t *testing.T) {
 
 func TestFlitConservationEndToEnd(t *testing.T) {
 	// Controllers' queues and RDMA reassemblers must fully drain.
-	sys := New(WithNetCrafter())
+	sys := mustBuild(t, WithNetCrafter())
 	spec, err := workload.ByName("MT", workload.Tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -210,12 +221,19 @@ func TestConfigPresets(t *testing.T) {
 	if WithNetCrafter().NetCrafter.Sequencing != core.SeqPTW {
 		t.Fatal("WithNetCrafter missing sequencing")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("odd cluster split accepted")
-		}
-	}()
-	New(Config{GPUs: 4, GPUsPerCluster: 3})
+	odd := Config{GPUs: 4, GPUsPerCluster: 3}
+	if _, err := Build(odd); err == nil {
+		t.Fatal("odd cluster split accepted")
+	}
+	// RunOne surfaces Build's error instead of panicking.
+	if _, err := RunOne(odd, "GUPS", workload.Tiny(), testLimit); err == nil || !strings.Contains(err.Error(), "equal clusters") {
+		t.Fatalf("RunOne on an odd cluster split: %v, want the build error", err)
+	}
+	tinyFlit := WithNetCrafter()
+	tinyFlit.GPU.FlitBytes = 4
+	if _, err := Build(tinyFlit); err == nil || !strings.Contains(err.Error(), "flit size 4") {
+		t.Fatalf("4-byte flits: %v, want an error naming the flit size", err)
+	}
 }
 
 // TestFourClusterTopology exercises the scaling extension: 8 GPUs in 4
@@ -224,7 +242,7 @@ func TestFourClusterTopology(t *testing.T) {
 	cfg := Baseline()
 	cfg.GPUs = 8
 	cfg.GPUsPerCluster = 2
-	sys := New(cfg)
+	sys := mustBuild(t, cfg)
 	if sys.NumClusters() != 4 || len(sys.Controllers) != 4 || len(sys.InterLinks) != 4 {
 		t.Fatalf("4-cluster wiring wrong: %d clusters, %d controllers, %d links",
 			sys.NumClusters(), len(sys.Controllers), len(sys.InterLinks))
@@ -282,7 +300,7 @@ func TestFourClusterNetCrafterStillHelps(t *testing.T) {
 // NetCrafter design and audits conservation invariants afterwards.
 func TestAuditAfterEveryWorkload(t *testing.T) {
 	for _, name := range []string{"GUPS", "MT", "LENET"} {
-		sys := New(WithNetCrafter())
+		sys := mustBuild(t, WithNetCrafter())
 		spec, err := workload.ByName(name, workload.Tiny())
 		if err != nil {
 			t.Fatal(err)
@@ -298,7 +316,7 @@ func TestAuditAfterEveryWorkload(t *testing.T) {
 
 // TestAuditDetectsImbalance sanity-checks the auditor itself.
 func TestAuditDetectsImbalance(t *testing.T) {
-	sys := New(Baseline())
+	sys := mustBuild(t, Baseline())
 	sys.GPUs[0].RDMA.Stats.RemoteReads.Inc() // fake an unserved read
 	if err := sys.Audit(); err == nil {
 		t.Fatal("audit missed an unserved remote read")
@@ -325,7 +343,7 @@ func TestTrimWritesEndToEnd(t *testing.T) {
 // controller mechanism leaves events on its count tracks, with each
 // track's total equal to the run's matching NetStats counter.
 func TestTimelineRecordsWireEvents(t *testing.T) {
-	sys := New(WithNetCrafter())
+	sys := mustBuild(t, WithNetCrafter())
 	tl := timeline.New(0)
 	sys.AttachObs(nil, nil, tl)
 	spec, err := workload.ByName("GUPS", workload.Tiny())

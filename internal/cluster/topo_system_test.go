@@ -8,6 +8,7 @@ import (
 	"netcrafter/internal/flit"
 	"netcrafter/internal/gpu"
 	"netcrafter/internal/network"
+	"netcrafter/internal/shard"
 	"netcrafter/internal/sim"
 	"netcrafter/internal/topo"
 	"netcrafter/internal/vm"
@@ -34,15 +35,18 @@ func legacyNew(cfg Config) *System {
 	if cfg.GPU.FlitBytes == 0 {
 		cfg.GPU.FlitBytes = flit.DefaultFlitBytes
 	}
+	eng, sched := sim.NewEngine(), sim.NewScheduler()
 	s := &System{
-		Engine:    sim.NewEngine(),
-		Sched:     sim.NewScheduler(),
+		Engine:    eng,
+		Engines:   []*sim.Engine{eng},
 		cfg:       cfg,
 		nClusters: cfg.GPUs / cfg.GPUsPerCluster,
 		alloc:     &frameAlloc{next: make([]uint64, cfg.GPUs)},
 		rng:       sim.NewRand(cfg.Seed),
+		coord:     shard.NewCoordinator([]*sim.Engine{eng}),
 	}
-	s.Engine.Register("sched", s.Sched)
+	s.idleFns = []func() bool{s.AllIdle}
+	s.Engine.Register("sched", sched)
 	tp := legacyTopo{gpusPerCluster: cfg.GPUsPerCluster}
 	s.PT = vm.NewPageTable(s.alloc)
 
@@ -54,7 +58,7 @@ func legacyNew(cfg Config) *System {
 	switches := make([]*network.Switch, nClusters)
 
 	for g := 0; g < cfg.GPUs; g++ {
-		s.GPUs = append(s.GPUs, gpu.New(g, cfg.GPU, tp, s.PT, nil, s.Sched))
+		s.GPUs = append(s.GPUs, gpu.New(g, cfg.GPU, tp, s.PT, nil, sched))
 	}
 
 	for c := 0; c < nClusters; c++ {
@@ -149,7 +153,7 @@ func TestTopoDefaultMatchesLegacyWiring(t *testing.T) {
 	} {
 		for _, wl := range []string{"GUPS", "SPMV"} {
 			want := runOn(t, legacyNew(tc.cfg), wl, workload.Tiny())
-			got := runOn(t, New(tc.cfg), wl, workload.Tiny())
+			got := runOn(t, mustBuild(t, tc.cfg), wl, workload.Tiny())
 			sameRun(t, tc.label+"/"+wl, want, got)
 		}
 	}
@@ -172,10 +176,7 @@ func TestRingTopologyMultiHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Build(WithNetCrafter().WithTopology(g))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := mustBuild(t, WithNetCrafter().WithTopology(g))
 	if len(sys.Controllers) != 8 || len(sys.InterLinks) != 4 {
 		t.Fatalf("ring wiring: %d controllers, %d inter links (want 8, 4)",
 			len(sys.Controllers), len(sys.InterLinks))
@@ -221,10 +222,7 @@ func TestChainTopologyDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *Result {
-		sys, err := Build(WithNetCrafter().WithTopology(g))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := mustBuild(t, WithNetCrafter().WithTopology(g))
 		if len(sys.Switches) != 4 {
 			t.Fatalf("chain has %d switches", len(sys.Switches))
 		}
@@ -244,10 +242,7 @@ func TestAsymmetricTopologyRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Build(WithNetCrafter().WithTopology(g))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := mustBuild(t, WithNetCrafter().WithTopology(g))
 	l := sys.InterLinks[0]
 	if l.ABRate == l.BARate {
 		t.Fatalf("asym preset built a symmetric inter link (%d/%d)", l.ABRate, l.BARate)
@@ -269,10 +264,7 @@ func TestFullyConnectedPortCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Build(WithNetCrafter().WithTopology(g))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := mustBuild(t, WithNetCrafter().WithTopology(g))
 	for _, sw := range sys.Switches {
 		if n := len(sw.Ports()); n != 5 {
 			t.Fatalf("switch %s has %d ports, want 5", sw.Name, n)
@@ -289,7 +281,7 @@ func TestFullyConnectedPortCount(t *testing.T) {
 }
 
 // TestBuildRejectsBadTopologies checks graph problems surface as errors
-// from Build (and panics only from New).
+// from Build.
 func TestBuildRejectsBadTopologies(t *testing.T) {
 	oneCluster := &topo.Graph{
 		Name:     "one",
@@ -304,10 +296,4 @@ func TestBuildRejectsBadTopologies(t *testing.T) {
 	if _, err := Build(Baseline().WithTopology(invalid)); err == nil {
 		t.Fatal("empty topology accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New did not panic on an invalid topology")
-		}
-	}()
-	New(Baseline().WithTopology(invalid))
 }

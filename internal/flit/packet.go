@@ -199,12 +199,6 @@ func (p *Packet) FlitCount(flitBytes int) int {
 	return (p.RequiredBytes() + flitBytes - 1) / flitBytes
 }
 
-// PaddedBytes returns how many padding bytes segmentation adds (the
-// "Bytes Padded" column of Table 1).
-func (p *Packet) PaddedBytes(flitBytes int) int {
-	return p.FlitCount(flitBytes)*flitBytes - p.RequiredBytes()
-}
-
 // CrossesClusters reports whether the packet traverses the
 // lower-bandwidth inter-GPU-cluster network.
 func (p *Packet) CrossesClusters() bool { return p.SrcCluster != p.DstCluster }

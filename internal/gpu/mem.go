@@ -62,11 +62,6 @@ func (m *MemPartition) Tickers() []sim.Ticker { return []sim.Ticker{m.dram} }
 // DRAM exposes the memory stack (stats).
 func (m *MemPartition) DRAM() *dram.DRAM { return m.dram }
 
-// Bank returns the bank cache serving paddr (stats/tests).
-func (m *MemPartition) Bank(paddr uint64) *cache.Cache {
-	return m.banks[m.bankIdx(paddr)]
-}
-
 func (m *MemPartition) bankIdx(paddr uint64) int {
 	return int((paddr / uint64(m.cfg.L2Bank.LineBytes)) % uint64(m.cfg.L2Banks))
 }

@@ -62,7 +62,8 @@ import (
 
 // Plan assigns clusters to shards: contiguous cluster blocks, so the
 // serial registration order filtered per shard keeps each shard's
-// components contiguous and cache-friendly.
+// components contiguous and cache-friendly. The nil *Plan is the
+// one-shard plan (serial execution): Of returns 0 and Shards 1.
 type Plan struct {
 	// N is the effective shard count (clamped to the cluster count).
 	N         int
@@ -72,7 +73,7 @@ type Plan struct {
 // PlanFor derives the partition for a topology with nClusters clusters
 // at the requested shard count. Shard counts above the cluster count
 // clamp down (a cluster is the unit of ownership); a count of one or
-// less means serial execution and returns nil.
+// less means serial execution and returns the nil (one-shard) plan.
 func PlanFor(nClusters, shards int) *Plan {
 	if shards > nClusters {
 		shards = nClusters
@@ -95,7 +96,7 @@ func PlanFor(nClusters, shards int) *Plan {
 // pre-existing presets. Shard indices left empty by heavily skewed
 // weights are compacted away, so every shard of the returned plan owns
 // at least one cluster; a plan that degenerates to one shard returns
-// nil (serial).
+// the nil (one-shard) plan.
 func PlanForWeights(weights []int, shards int) *Plan {
 	nClusters := len(weights)
 	if shards > nClusters {
@@ -139,15 +140,24 @@ func PlanForWeights(weights []int, shards int) *Plan {
 }
 
 // Of returns the shard owning the given cluster. Backbone switches
-// (cluster < 0, see topo.Backbone) belong to shard 0.
+// (cluster < 0, see topo.Backbone) belong to shard 0, and so does
+// everything under the nil plan — the one-shard (serial) partition.
 func (p *Plan) Of(cluster int) int {
-	if cluster < 0 {
+	if p == nil || cluster < 0 {
 		return 0
 	}
 	if cluster >= len(p.byCluster) {
 		return p.N - 1
 	}
 	return p.byCluster[cluster]
+}
+
+// Shards returns the plan's shard count: N, or 1 for the nil plan.
+func (p *Plan) Shards() int {
+	if p == nil {
+		return 1
+	}
+	return p.N
 }
 
 // direction is one cross-shard boundary-link direction: the staged-flit
@@ -207,9 +217,11 @@ type BoundaryFlow struct {
 	BytesOut, BytesIn int64
 }
 
-// Coordinator drives one partitioned simulation. Build one per system
-// (cluster.Build does this when Config.Shards > 1), then call RunUntil
-// wherever the serial path would call Engine.RunUntil.
+// Coordinator is a system's run loop: it decides how many engines drive
+// the simulation. cluster.Build makes one per system over its shard
+// engines — a single engine when Config.Shards <= 1 — and every run
+// drives through RunUntil. With one shard RunUntil is the engine's own
+// RunUntil on the caller's goroutine: no workers, no barrier.
 type Coordinator struct {
 	shards []*shardState
 	dirs   []*direction
@@ -253,12 +265,17 @@ func (c *Coordinator) AddBoundary(name string, from, to int, h *network.HalfLink
 	c.shards[to].ingress = append(c.shards[to].ingress, &ingressState{q: dst, d: d})
 }
 
-// Wall returns the host wall-clock time spent inside RunUntil calls —
-// the sharded counterpart of Engine.WallTime.
+// Wall returns the host wall-clock time spent inside RunUntil calls,
+// at any shard count (shard engines stepped by workers never accumulate
+// their own Engine.WallTime).
 func (c *Coordinator) Wall() time.Duration { return c.wall }
 
-// BoundaryFlows returns the cumulative per-direction boundary traffic.
+// BoundaryFlows returns the cumulative per-direction boundary traffic,
+// or nil when no link crosses shards.
 func (c *Coordinator) BoundaryFlows() []BoundaryFlow {
+	if len(c.dirs) == 0 {
+		return nil
+	}
 	out := make([]BoundaryFlow, len(c.dirs))
 	for i, d := range c.dirs {
 		out[i] = BoundaryFlow{
@@ -274,15 +291,19 @@ func (c *Coordinator) BoundaryFlows() []BoundaryFlow {
 // predicate reports true or the cycle limit is reached — the sharded
 // equivalent of Engine.RunUntil(done, limit) with done split per shard
 // (valid because System.AllIdle is a conjunction over per-GPU state and
-// GPUs are owned by shards). Workers are spawned per call and joined
-// before it returns, so the caller owns all simulation state outside
-// the call exactly as with the serial engine.
+// GPUs are owned by shards). One shard runs its engine's RunUntil
+// directly. Otherwise workers are spawned per call and joined before it
+// returns, so the caller owns all simulation state outside the call
+// exactly as with the serial engine.
 func (c *Coordinator) RunUntil(idle []func() bool, limit sim.Cycle) (sim.Cycle, error) {
 	start := time.Now()
 	defer func() { c.wall += time.Since(start) }()
 	n := len(c.shards)
 	if len(idle) != n {
 		return 0, fmt.Errorf("shard: %d idle predicates for %d shards", len(idle), n)
+	}
+	if n == 1 {
+		return c.shards[0].eng.RunUntil(idle[0], limit)
 	}
 	// Spinning at the barrier only helps when every worker has its own
 	// core; otherwise yield immediately so the runnable worker gets on.

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -71,6 +72,23 @@ func TestPlanOfOutOfRange(t *testing.T) {
 	}
 }
 
+// TestNilPlanIsOneShard pins the serial partition: the nil plan owns
+// every cluster on shard 0 and counts one shard.
+func TestNilPlanIsOneShard(t *testing.T) {
+	var p *Plan
+	if p.Shards() != 1 {
+		t.Errorf("nil plan has %d shards, want 1", p.Shards())
+	}
+	for _, c := range []int{-1, 0, 3} {
+		if got := p.Of(c); got != 0 {
+			t.Errorf("nil plan puts cluster %d on shard %d, want 0", c, got)
+		}
+	}
+	if got := PlanFor(4, 2).Shards(); got != 2 {
+		t.Errorf("PlanFor(4, 2).Shards() = %d, want 2", got)
+	}
+}
+
 // countdown is a hot ticker that is busy for the first n cycles.
 type countdown struct{ left int }
 
@@ -105,6 +123,31 @@ func TestCoordinatorRunUntilIdle(t *testing.T) {
 		if e.Now() != ret {
 			t.Errorf("shard %d clock %d, coordinator returned %d", i, e.Now(), ret)
 		}
+	}
+}
+
+// TestCoordinatorOneShardIsTheEngine pins the one-shard fast path: the
+// coordinator stops where the engine's own RunUntil stops, with the
+// same verdict, charges the host time to both clocks, and reports no
+// boundary flows.
+func TestCoordinatorOneShardIsTheEngine(t *testing.T) {
+	serial := sim.NewEngine()
+	serial.Register("cd", &countdown{left: 7})
+	want, wantErr := serial.RunUntil(func() bool { return false }, 1000)
+
+	eng := sim.NewEngine()
+	eng.Register("cd", &countdown{left: 7})
+	c := NewCoordinator([]*sim.Engine{eng})
+	got, err := c.RunUntil([]func() bool{func() bool { return false }}, 1000)
+	if got != want || eng.Rounds() != serial.Rounds() || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Errorf("one shard stopped at %d after %d rounds (%v), engine at %d after %d (%v)",
+			got, eng.Rounds(), err, want, serial.Rounds(), wantErr)
+	}
+	if eng.WallTime() <= 0 || c.Wall() < eng.WallTime() {
+		t.Errorf("host time: coordinator %v, engine %v; want engine > 0 and coordinator >= engine", c.Wall(), eng.WallTime())
+	}
+	if flows := c.BoundaryFlows(); flows != nil {
+		t.Errorf("one shard reports boundary flows: %+v", flows)
 	}
 }
 

@@ -26,10 +26,11 @@
 //     NextWake, given no new input. NextWake must never be later than
 //     the first cycle the component would act — "exact or early,
 //     never late". External input into a sleeping component must
-//     Signal it (wired automatically for components that implement
-//     WakerAware). Under this contract, skipped ticks are exactly the
-//     ticks that would have done nothing, and the wake-scheduled run
-//     is cycle-for-cycle identical to ticking everything.
+//     wake it through its Waker (wired automatically for components
+//     that implement WakerAware). Under this contract, skipped ticks
+//     are exactly the ticks that would have done nothing, and the
+//     wake-scheduled run is cycle-for-cycle identical to ticking
+//     everything.
 //
 // Components without a WakeHinter stay in an always-hot set and are
 // ticked on every processed cycle, preserving the historical semantics
@@ -40,7 +41,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"time"
 )
@@ -64,7 +64,7 @@ type Ticker interface {
 // WakeHinter is implemented by Tickers that know the next cycle at
 // which they could possibly make progress (e.g. a timer or a queue
 // with a known ready time). The engine skips a hinted ticker entirely
-// until its hint (or a Signal) says it is due. Returning CycleMax
+// until its hint (or its Waker) says it is due. Returning CycleMax
 // means "no pending work". Hints must be exact or early, never late:
 // a hint later than the first cycle the component would act at loses
 // work (see the package no-op contract). Tickers without a WakeHinter
@@ -154,10 +154,6 @@ type Engine struct {
 	// read the counter instead.
 	rounds int64
 
-	// comparable records whether every registered ticker's dynamic type
-	// is comparable (Signal needs interface equality).
-	uncomparable bool
-
 	// wall accumulates the host wall-clock time spent inside RunUntil
 	// and Run, so a finished engine can self-report its simulation
 	// throughput (simulated cycles per host second). The clock is read
@@ -202,34 +198,11 @@ func (e *Engine) Register(name string, t Ticker) *Waker {
 		// after which its own hint takes over.
 		e.arm(idx, e.now)
 	}
-	if !reflect.TypeOf(t).Comparable() {
-		e.uncomparable = true
-	}
 	w := &Waker{e: e, idx: idx}
 	if aw, ok := t.(WakerAware); ok {
 		aw.SetWaker(w)
 	}
 	return w
-}
-
-// Signal re-arms a registered ticker for the next cycle, as if a
-// producer had handed it work. Prefer holding the Waker from Register
-// on hot paths; Signal is the convenience form and scans the
-// registration list. Unregistered or hint-less tickers are unaffected
-// (hint-less tickers are always due).
-func (e *Engine) Signal(t Ticker) {
-	if t == nil || e.uncomparable {
-		// Interface equality panics on non-comparable dynamic types
-		// (e.g. TickerFunc); such tickers are hint-less and always hot,
-		// so there is nothing to signal.
-		return
-	}
-	for i, x := range e.tickers {
-		if x == t {
-			e.arm(i, e.now+1)
-			return
-		}
-	}
 }
 
 // arm schedules ticker idx to run no later than cycle at. Earliest
@@ -430,18 +403,6 @@ func (e *Engine) Run(n Cycle) {
 // WallTime returns the host wall-clock time the engine has spent
 // driving components (inside RunUntil and Run).
 func (e *Engine) WallTime() time.Duration { return e.wall }
-
-// Throughput returns the engine's simulation rate so far in simulated
-// cycles per host wall-clock second, or 0 before the engine has run.
-// Idle-skipped stretches count as simulated cycles (they elapse on the
-// simulated clock), so the figure is "simulated time per host time",
-// the number a sweep harness reports as per-cell simulator throughput.
-func (e *Engine) Throughput() float64 {
-	if e.wall <= 0 {
-		return 0
-	}
-	return float64(e.now) / e.wall.Seconds()
-}
 
 // heapPush inserts an entry into the wake min-heap (ordered by cycle,
 // then registration index). Hand-rolled to keep entries unboxed —

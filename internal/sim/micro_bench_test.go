@@ -114,26 +114,25 @@ func BenchmarkEngineAllHot(b *testing.B) {
 	e.Run(Cycle(b.N))
 }
 
-// parkTicker hints CycleMax (never wakes on its own); only Signal can
+// parkTicker hints CycleMax (never wakes on its own); only its Waker can
 // get it ticked.
 type parkTicker struct{ ticks int }
 
 func (t *parkTicker) Tick(now Cycle) bool    { t.ticks++; return false }
 func (t *parkTicker) NextWake(_ Cycle) Cycle { return CycleMax }
 
-// BenchmarkEngineSignal measures the Signal path: re-arming a parked
-// ticker by identity lookup.
+// BenchmarkEngineSignal measures the producer signal path: re-arming a
+// parked ticker through the Waker that Register returned.
 func BenchmarkEngineSignal(b *testing.B) {
 	e := NewEngine()
-	ts := make([]*parkTicker, 32)
-	for i := range ts {
-		ts[i] = &parkTicker{}
-		e.Register("t", ts[i])
+	ws := make([]*Waker, 32)
+	for i := range ws {
+		ws[i] = e.Register("t", &parkTicker{})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Signal(ts[i%len(ts)])
+		ws[i%len(ws)].Wake(e.Now() + 1)
 		e.Step()
 	}
 }

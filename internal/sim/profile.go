@@ -45,9 +45,6 @@ func (e *Engine) EnableProfile() {
 	e.observed = true
 }
 
-// Profiling reports whether per-component host-time attribution is on.
-func (e *Engine) Profiling() bool { return e.profiling }
-
 // Name returns the registration name of component idx ("" when out of
 // range).
 func (e *Engine) Name(idx int) string {

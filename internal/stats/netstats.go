@@ -54,12 +54,6 @@ func (l *LinkStats) Utilization(end sim.Cycle) float64 {
 	return float64(l.FlitsMoved.Value()) / capacity
 }
 
-// ActiveWindow returns the [first, last] cycles the link moved a flit;
-// ok is false when it never did.
-func (l *LinkStats) ActiveWindow() (first, last sim.Cycle, ok bool) {
-	return l.firstActive, l.lastActive, l.sawActivity
-}
-
 // ActiveUtilization returns busy slot share over the link's active
 // window [firstActive, lastActive]. Unlike Utilization, it excludes the
 // warm-up before the first flit and the drain after the last one, so a

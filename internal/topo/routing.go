@@ -39,17 +39,8 @@ func (r *Routing) SwitchNode(s int) int32 { return int32(r.nDev + s) }
 // ID (negative for a device node).
 func (r *Routing) SwitchOrdinal(node int32) int { return int(node) - r.nDev }
 
-// IsDevice reports whether a node ID names a device.
-func (r *Routing) IsDevice(node int32) bool { return int(node) < r.nDev }
-
 // NodeName returns the name of a node ID.
 func (r *Routing) NodeName(node int32) string { return r.ix.names[node] }
-
-// NodeID resolves a node name to its ID.
-func (r *Routing) NodeID(name string) (int32, bool) {
-	n, ok := r.ix.id[name]
-	return int32(n), ok
-}
 
 // LinkNodes returns the node IDs of Graph.Links[i]'s A and B endpoints.
 func (r *Routing) LinkNodes(i int) (a, b int32) {

@@ -128,9 +128,6 @@ func (tb *Table) Allocated() int { return tb.allocated }
 // StateCount returns the number of live transactions in a state.
 func (tb *Table) StateCount(s State) int { return tb.counts[s] }
 
-// Oldest returns the longest-lived in-flight transaction, or nil.
-func (tb *Table) Oldest() *Transaction { return tb.head }
-
 // OldestAge returns the age of the oldest live transaction.
 func (tb *Table) OldestAge(now sim.Cycle) (sim.Cycle, bool) {
 	if tb.head == nil {

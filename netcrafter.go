@@ -84,9 +84,6 @@ const (
 	BackendFlow  = cluster.BackendFlow
 )
 
-// Backends lists the valid backend names.
-func Backends() []string { return cluster.Backends() }
-
 // ParseBackend resolves a backend name ("" means cycle).
 func ParseBackend(s string) (Backend, error) { return cluster.ParseBackend(s) }
 
@@ -101,8 +98,9 @@ type Scale = workload.Scale
 // Cycle is a point in simulated time (1 GHz cycles).
 type Cycle = sim.Cycle
 
-// System is a built multi-GPU node; construct with NewSystem for
-// fine-grained control, or use Run for the common case.
+// System is a built multi-GPU node; construct with BuildSystem for
+// fine-grained control (attaching observability, running several
+// workloads on one instance), or use Run for the common case.
 type System = cluster.System
 
 // Baseline returns the paper's Table-2 non-uniform system with the
@@ -133,13 +131,9 @@ func Medium() Scale { return workload.Medium() }
 // Workloads lists the fifteen Table-3 applications.
 func Workloads() []string { return workload.Names() }
 
-// NewSystem builds a system for repeated or incremental use, panicking
-// on an invalid configuration; BuildSystem is the error-returning
-// variant for caller-supplied topologies.
-func NewSystem(cfg Config) *System { return cluster.New(cfg) }
-
 // BuildSystem validates cfg (and its Topology, when set) and builds the
-// system, returning invalid-fabric problems as errors.
+// system for repeated or incremental use, returning invalid
+// configurations as errors.
 func BuildSystem(cfg Config) (*System, error) { return cluster.Build(cfg) }
 
 // Topology is a declarative fabric graph: GPU devices, switches and
@@ -153,14 +147,8 @@ type Topology = topo.Graph
 // spec file path into a validated topology.
 func LoadTopology(nameOrPath string) (*Topology, error) { return topo.Load(nameOrPath) }
 
-// ParseTopology decodes and validates a JSON topology spec.
-func ParseTopology(data []byte) (*Topology, error) { return topo.Parse(data) }
-
 // TopologyPresets lists the named built-in topologies, sorted.
 func TopologyPresets() []string { return topo.Presets() }
-
-// TopologyPreset returns one named built-in topology.
-func TopologyPreset(name string) (*Topology, error) { return topo.Preset(name) }
 
 // FrontierTopology is the paper's Figure-2 node generalized to nGPUs
 // split evenly over nClusters; bandwidths are flits/cycle (8 = 128 GB/s
@@ -320,9 +308,6 @@ func NewSpanRecorder(w io.Writer) *SpanRecorder { return obs.NewSpanRecorder(w) 
 // LatencyBreakdown is the per-type, per-stage aggregation of finished
 // spans; obtain one from SpanRecorder.Breakdown.
 type LatencyBreakdown = obs.Breakdown
-
-// SpanRecord is the JSONL export schema of one finished span.
-type SpanRecord = obs.SpanRecord
 
 // Timeline is the ring-buffered event timeline: per-component engine
 // execute slices, cycle-windowed link utilization, queue occupancy and

@@ -64,7 +64,10 @@ func TestPublicAPICustomSystem(t *testing.T) {
 	cfg.NetCrafter = netcrafter.ControllerBaseline()
 	cfg.NetCrafter.PoolingCycles = 64
 	cfg.GPU.FetchMode = netcrafter.FetchFullLine
-	sys := netcrafter.NewSystem(cfg)
+	sys, err := netcrafter.BuildSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sys.NumClusters() != 2 {
 		t.Fatal("custom system wrong")
 	}
