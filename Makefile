@@ -2,8 +2,9 @@
 # build, the test suite under the race detector (the observability
 # layer, the parallel sweep runner and the partitioned wake engine are
 # concurrency-safe by contract, so races are release blockers), the
-# benchmark module's tests (its golden cross-checks), a short fuzz of
-# the topology spec parser, the docs checks, and race-instrumented
+# benchmark module's tests (its golden cross-checks), short fuzzes of
+# the topology spec parser, the spec-to-build-to-run path and the comm
+# trace parser, the docs checks, and race-instrumented
 # smokes of the parallel sweep runner and the sharded engine end to end.
 
 GO ?= go
@@ -57,10 +58,11 @@ bench:
 # The engine/queue/scheduler/fabric hot-path micro-benchmarks that the
 # wake-scheduled engine work is measured by, plus the flow backend's
 # set-up and solve costs (network compilation at 512 GPUs, plan
-# generation, one alltoall solve), and the NetCrafter controller's
-# trim/stitch/pool/eject path. `bench-micro` gives real numbers;
-# `bench-micro-smoke` (in ci) just proves they still compile, run, and
-# hold their 0 allocs/op pins.
+# generation, one alltoall solve), the NetCrafter controller's
+# trim/stitch/pool/eject path, and cycle-backend system set-up
+# (cluster.Build on 64-GPU and 8-GPU fabrics). `bench-micro` gives real
+# numbers; `bench-micro-smoke` (in ci) just proves they still compile,
+# run, and hold their 0 allocs/op pins.
 bench-micro:
 	$(GO) test -run='^$$' -bench='BenchmarkEngine|BenchmarkQueue|BenchmarkScheduler' \
 		-benchmem -count=3 ./internal/sim
@@ -78,6 +80,8 @@ bench-micro:
 		-benchmem -count=3 ./internal/comm
 	$(GO) test -run='^$$' -bench='BenchmarkController' \
 		-benchmem -count=3 ./internal/core
+	$(GO) test -run='^$$' -bench='BenchmarkBuild' \
+		-benchmem -count=3 ./internal/cluster
 
 bench-micro-smoke:
 	$(GO) test -run='NoAllocs' -bench='BenchmarkEngine|BenchmarkQueue|BenchmarkScheduler' \
@@ -96,9 +100,12 @@ bench-micro-smoke:
 		-benchmem -count=1 -benchtime=10x ./internal/comm
 	$(GO) test -run='^$$' -bench='BenchmarkController' \
 		-benchmem -count=1 -benchtime=100x ./internal/core
+	$(GO) test -run='^$$' -bench='BenchmarkBuild' \
+		-benchmem -count=1 -benchtime=2x ./internal/cluster
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzTopoParse -fuzztime=5s -run='^$$' ./internal/topo
+	$(GO) test -fuzz=FuzzBuild -fuzztime=5s -run='^$$' ./internal/cluster
 	$(GO) test -fuzz=FuzzTraceParse -fuzztime=5s -run='^$$' ./internal/comm
 
 # Every package must carry a package-level doc comment, and the

@@ -14,6 +14,9 @@
 //	               [-requests N] [-comm-export FILE] [-comm-replay FILE]
 //	               [-backend cycle|flow]
 //
+// A negative numeric override is an error that names the flag; an
+// unset one (0, or -1 for -pool) keeps the configuration's value.
+//
 // -shards partitions the simulation at cluster boundaries and runs each
 // partition's engine on its own goroutine, in lockstep (DESIGN.md
 // section 2.15). Results are bit-identical to the serial engine at any
@@ -133,6 +136,23 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "netcrafter-sim:", err)
 		return 1
+	}
+	// A negative override is an error, not "unset": only -pool has an
+	// unset value below zero (-1, its default).
+	if *pool < -1 {
+		return fail(fmt.Errorf("-pool %d: must not be negative (-1, the default, keeps the config's window)", *pool))
+	}
+	for _, o := range []struct {
+		flag string
+		v    float64
+	}{
+		{"flit", float64(*flitSz)}, {"inter", float64(*inter)}, {"intra", float64(*intra)},
+		{"comm-bytes", float64(*commB)}, {"qps", *qps}, {"requests", float64(*reqs)},
+		{"shards", float64(*shards)},
+	} {
+		if o.v < 0 {
+			return fail(fmt.Errorf("-%s %v: must not be negative", o.flag, o.v))
+		}
 	}
 
 	if *list {

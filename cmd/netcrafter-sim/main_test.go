@@ -62,6 +62,18 @@ func TestRunFlagMatrix(t *testing.T) {
 		{name: "bad flag", args: []string{"-no-such-flag"}, exit: 2},
 		{name: "flit too small", args: append(base, "-flit", "4"), exit: 1,
 			wantErr: []string{"flit size 4"}},
+		{name: "pool unset", args: append(base, "-pool", "-1"), exit: 0, wantOut: []string{"cycles="}},
+		{name: "negative pool", args: append(base, "-pool", "-7"), exit: 1, wantErr: []string{"-pool -7"}},
+		{name: "negative flit", args: append(base, "-flit", "-4"), exit: 1, wantErr: []string{"-flit -4"}},
+		{name: "negative inter", args: append(base, "-inter", "-3"), exit: 1, wantErr: []string{"-inter -3"}},
+		{name: "negative intra", args: append(base, "-intra", "-3"), exit: 1, wantErr: []string{"-intra -3"}},
+		{name: "negative comm-bytes", args: []string{"-comm", "ring-allreduce", "-scale", "tiny", "-comm-bytes", "-5"}, exit: 1,
+			wantErr: []string{"-comm-bytes -5"}},
+		{name: "negative qps", args: []string{"-comm", "serve-poisson", "-scale", "tiny", "-qps", "-1"}, exit: 1,
+			wantErr: []string{"-qps -1"}},
+		{name: "negative requests", args: []string{"-comm", "serve-poisson", "-scale", "tiny", "-requests", "-2"}, exit: 1,
+			wantErr: []string{"-requests -2"}},
+		{name: "negative shards", args: append(base, "-shards", "-3"), exit: 1, wantErr: []string{"-shards -3"}},
 		{name: "flow flit too small", args: []string{"-backend", "flow", "-comm", "ring-allreduce", "-scale", "tiny", "-flit", "4"}, exit: 1,
 			wantErr: []string{"flit size 4"}},
 		{name: "one-cluster topo", args: []string{"-topo", oneCluster, "-workload", "BS", "-scale", "tiny"}, exit: 1,

@@ -273,7 +273,8 @@ func Build(cfg Config) (*System, error) {
 // spliced at every taper point the placement rule identifies (every
 // clustered endpoint of every boundary link, plus every switch-switch
 // egress whose rate tapers below the switch's fastest tier — see
-// topo.Placement), and indexed BFS shortest-path routing tables.
+// topo.Placement), and switch port tables read from topo.Routes'
+// next-link table.
 // Components are created and registered in graph declaration order —
 // registration order is part of the simulated machine's definition, and
 // for the default FrontierNode graph it reproduces the original
@@ -314,10 +315,8 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 	s.PT = vm.NewPageTable(s.alloc)
 
 	clusters := make([]flit.ClusterID, len(g.Devices))
-	devIdx := make(map[string]int, len(g.Devices))
 	for i, d := range g.Devices {
 		clusters[i] = flit.ClusterID(d.Cluster)
-		devIdx[d.Name] = i
 	}
 	tp := graphTopology{clusters: clusters}
 	s.Tables = make([]*txn.Table, s.nClusters)
@@ -330,14 +329,15 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 		s.GPUs = append(s.GPUs, gp)
 		shardGPUs[sh] = append(shardGPUs[sh], gp)
 	}
-
-	sws := make(map[string]*network.Switch, len(g.Switches))
-	swCluster := make(map[string]int, len(g.Switches))
 	for _, sn := range g.Switches {
-		sw := network.NewSwitch(sn.Name, cfg.Switch)
-		sws[sn.Name] = sw
-		swCluster[sn.Name] = sn.Cluster
-		s.Switches = append(s.Switches, sw)
+		s.Switches = append(s.Switches, network.NewSwitch(sn.Name, cfg.Switch))
+	}
+
+	// The routing core resolves every link end to a node ID: a switch
+	// (SwitchOrdinal >= 0) or a device, whose node ID is its GPU index.
+	rt, err := g.Routes()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 
 	// Auto local bandwidth per switch: the fastest non-boundary link
@@ -345,35 +345,36 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 	// controller's local segment never throttles below the fabric
 	// around it. Falls back to the boundary link's own rate for a
 	// switch with nothing but boundary links.
-	localBW := make(map[string]int, len(g.Switches))
-	boundaryBW := make(map[string]int, len(g.Switches))
-	for _, ln := range g.Links {
+	localBW := make([]int, len(g.Switches))
+	boundaryBW := make([]int, len(g.Switches))
+	for li, ln := range g.Links {
 		r := max(ln.RateAB(), ln.RateBA())
 		into := localBW
 		if g.Boundary(ln) {
 			into = boundaryBW
 		}
-		for _, end := range []string{ln.A, ln.B} {
-			if _, isSw := sws[end]; isSw && r > into[end] {
-				into[end] = r
+		a, b := rt.LinkNodes(li)
+		for _, n := range [2]int32{a, b} {
+			if si := rt.SwitchOrdinal(n); si >= 0 && r > into[si] {
+				into[si] = r
 			}
 		}
 	}
-	for name, bw := range boundaryBW {
-		if localBW[name] == 0 {
-			localBW[name] = bw
+	for si, bw := range boundaryBW {
+		if localBW[si] == 0 {
+			localBW[si] = bw
 		}
 	}
 
-	// portOf[switch][neighbor node] = port index toward that neighbor.
-	portOf := make(map[string]map[string]int, len(g.Switches))
-	for name := range sws {
-		portOf[name] = map[string]int{}
-	}
-	addPort := func(sw *network.Switch, portName, neighbor string, rate int) *network.Port {
+	// linkPort[2*li] and linkPort[2*li+1] are the ports link li's A and
+	// B ends get on their switches (a device end gets none); the route
+	// install below resolves the next-link table through them.
+	linkPort := make([]int32, 2*len(g.Links))
+	addPort := func(si, end int, portName string, rate int) *network.Port {
+		sw := s.Switches[si]
 		idx := sw.AddPort(network.NewPort(portName, cfg.Switch.BufferEntries))
 		sw.SetPortRate(idx, rate)
-		portOf[sw.Name][neighbor] = idx
+		linkPort[end] = int32(idx)
 		return sw.Ports()[idx]
 	}
 
@@ -384,14 +385,14 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 	// ctlShard[i] is the owning shard of s.Controllers[i] (the shard of
 	// its cluster), for the deterministic registration pass below.
 	var ctlShard []int
-	// splice inserts a NetCrafter controller between a switch and the
-	// guarded link toward far: an intra-speed segment from the switch to
-	// the controller's local side, the controller ejecting at the
-	// guarded link's egress rate on its remote side. Controllers of
-	// backbone switches (taper points inside the inter-cluster fabric)
-	// are named ncx, ncx.1, ...; clustered ones nc<cluster>[.k].
-	splice := func(swName string, cluster int, far string, egressRate int, lat sim.Cycle, lbw int) *network.Port {
-		sw := sws[swName]
+	// splice inserts a NetCrafter controller between switch si and the
+	// guarded link end: an intra-speed segment from the switch to the
+	// controller's local side, the controller ejecting at the guarded
+	// link's egress rate on its remote side. Controllers of backbone
+	// switches (taper points inside the inter-cluster fabric) are named
+	// ncx, ncx.1, ...; clustered ones nc<cluster>[.k].
+	splice := func(si, end int, egressRate int, lat sim.Cycle, lbw int) *network.Port {
+		swName, cluster := g.Switches[si].Name, g.Switches[si].Cluster
 		k := ctlPerCluster[cluster]
 		ctlPerCluster[cluster]++
 		base := fmt.Sprintf("nc%d", cluster)
@@ -410,9 +411,9 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 		s.Controllers = append(s.Controllers, ctl)
 		ctlShard = append(ctlShard, plan.Of(cluster))
 		if lbw == 0 {
-			lbw = localBW[swName]
+			lbw = localBW[si]
 		}
-		local := network.NewLink("l."+ctlName, ctl.Local, addPort(sw, portName, far, lbw), lbw, lat)
+		local := network.NewLink("l."+ctlName, ctl.Local, addPort(si, end, portName, lbw), lbw, lat)
 		s.Links = append(s.Links, local)
 		s.Engines[plan.Of(cluster)].Register(local.Name, local)
 		return ctl.Remote
@@ -435,21 +436,20 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 	interIdx := 0
 	for li, ln := range g.Links {
 		ab, ba := ln.RateAB(), ln.RateBA()
-		aDev, aIsDev := devIdx[ln.A]
-		bDev, bIsDev := devIdx[ln.B]
+		a, b := rt.LinkNodes(li)
+		sa, sb := rt.SwitchOrdinal(a), rt.SwitchOrdinal(b)
 		switch {
-		case aIsDev || bIsDev:
+		case sa < 0 || sb < 0:
 			// GPU attachment (validation guarantees same-cluster,
 			// device on exactly one side).
-			dev, swName := ln.A, ln.B
-			gi := aDev
-			if bIsDev {
-				dev, swName, gi = ln.B, ln.A, bDev
+			gi, si, end := int(a), sb, 2*li+1
+			if sb < 0 {
+				gi, si, end = int(b), sa, 2*li
 			}
-			sw := sws[swName]
-			p := addPort(sw, swName+"."+dev, dev, max(ab, ba))
+			dev := g.Devices[gi].Name
+			p := addPort(si, end, g.Switches[si].Name+"."+dev, max(ab, ba))
 			ends := [2]*network.Port{s.GPUs[gi].RDMA.Port, p}
-			if bIsDev {
+			if sb < 0 {
 				ends = [2]*network.Port{p, s.GPUs[gi].RDMA.Port}
 			}
 			link := network.NewAsymLink("l."+dev, ends[0], ends[1], ab, ba, ln.Latency)
@@ -460,11 +460,11 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 			// internal at the switch's full tier rate (a boundary link
 			// always has at least one guarded clustered endpoint, so it
 			// never lands here — one owner either way).
-			pa := addPort(sws[ln.A], ln.A+"."+ln.B, ln.B, max(ab, ba))
-			pb := addPort(sws[ln.B], ln.B+"."+ln.A, ln.A, max(ab, ba))
+			pa := addPort(sa, 2*li, ln.A+"."+ln.B, max(ab, ba))
+			pb := addPort(sb, 2*li+1, ln.B+"."+ln.A, max(ab, ba))
 			link := network.NewAsymLink("l."+ln.A+"-"+ln.B, pa, pb, ab, ba, ln.Latency)
 			s.Links = append(s.Links, link)
-			s.Engines[plan.Of(swCluster[ln.A])].Register(link.Name, link)
+			s.Engines[plan.Of(g.Switches[sa].Cluster)].Register(link.Name, link)
 		default:
 			// A taper point on at least one side: controllers guard the
 			// tapered endpoints; an unguarded endpoint (backbone side of
@@ -472,14 +472,14 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 			// takes the core segment raw.
 			var endA, endB *network.Port
 			if pl.AtA[li] {
-				endA = splice(ln.A, swCluster[ln.A], ln.B, ab, ln.Latency, ln.LocalBW)
+				endA = splice(sa, 2*li, ab, ln.Latency, ln.LocalBW)
 			} else {
-				endA = addPort(sws[ln.A], ln.A+"."+ln.B, ln.B, max(ab, ba))
+				endA = addPort(sa, 2*li, ln.A+"."+ln.B, max(ab, ba))
 			}
 			if pl.AtB[li] {
-				endB = splice(ln.B, swCluster[ln.B], ln.A, ba, ln.Latency, ln.LocalBW)
+				endB = splice(sb, 2*li+1, ba, ln.Latency, ln.LocalBW)
 			} else {
-				endB = addPort(sws[ln.B], ln.B+"."+ln.A, ln.A, max(ab, ba))
+				endB = addPort(sb, 2*li+1, ln.B+"."+ln.A, max(ab, ba))
 			}
 			boundary := g.Boundary(ln)
 			name := "l." + ln.A + "-" + ln.B
@@ -497,8 +497,8 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 				s.TaperLinks = append(s.TaperLinks, link)
 			}
 			s.Links = append(s.Links, link)
-			shA := plan.Of(swCluster[ln.A])
-			shB := plan.Of(swCluster[ln.B])
+			shA := plan.Of(g.Switches[sa].Cluster)
+			shB := plan.Of(g.Switches[sb].Cluster)
 			if shA == shB {
 				s.Engines[shA].Register(name, link)
 			} else {
@@ -516,32 +516,28 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 		}
 	}
 
-	// Deterministic shortest-path routing tables from the indexed
-	// routing core: every switch learns the egress port toward every
-	// device, without materializing the string-map view. AddRoute
-	// surfaces duplicate device→port conflicts as errors instead of
-	// silently overwriting.
-	rt, err := g.Routes()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	for si, sn := range g.Switches {
-		sw := sws[sn.Name]
-		for di := range g.Devices {
-			nh := rt.NextHopName(si, di)
-			port, ok := portOf[sn.Name][nh]
-			if !ok {
-				return nil, fmt.Errorf("cluster: switch %s has no port toward %s (route to %s)", sn.Name, nh, g.Devices[di].Name)
+	// Routing: every switch forwards by its row of the routing core's
+	// next-link table, each link resolved to the port it got on this
+	// switch's end. The rows share one arena.
+	nDev := len(g.Devices)
+	routes := make([]int32, len(g.Switches)*nDev)
+	for si, sw := range s.Switches {
+		row := routes[si*nDev : (si+1)*nDev : (si+1)*nDev]
+		self := rt.SwitchNode(si)
+		for d := range row {
+			l := rt.NextLink(si, d)
+			end := 2 * l
+			if a, _ := rt.LinkNodes(l); a != self {
+				end++
 			}
-			if err := sw.AddRoute(flit.DeviceID(di), port); err != nil {
-				return nil, fmt.Errorf("cluster: %w", err)
-			}
+			row[d] = linkPort[end]
 		}
+		sw.SetRoutes(row)
 	}
 
 	// Register remaining tickers in deterministic order.
-	for _, sn := range g.Switches {
-		s.Engines[plan.Of(sn.Cluster)].Register(sn.Name, sws[sn.Name])
+	for si, sn := range g.Switches {
+		s.Engines[plan.Of(sn.Cluster)].Register(sn.Name, s.Switches[si])
 	}
 	for ci, ctl := range s.Controllers {
 		s.Engines[ctlShard[ci]].Register(ctl.Name, ctl)

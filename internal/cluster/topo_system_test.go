@@ -56,6 +56,7 @@ func legacyNew(cfg Config) *System {
 
 	nClusters := cfg.GPUs / cfg.GPUsPerCluster
 	switches := make([]*network.Switch, nClusters)
+	gpuPort := make([]int32, cfg.GPUs) // each GPU's port on its cluster switch
 
 	for g := 0; g < cfg.GPUs; g++ {
 		s.GPUs = append(s.GPUs, gpu.New(g, cfg.GPU, tp, s.PT, nil, sched))
@@ -69,7 +70,7 @@ func legacyNew(cfg Config) *System {
 			pIdx := sw.AddPort(network.NewPort(fmt.Sprintf("sw%d.gpu%d", c, g), cfg.Switch.BufferEntries))
 			sw.SetPortRate(pIdx, intraRate)
 			link := network.NewLink(fmt.Sprintf("l.gpu%d", g), s.GPUs[g].RDMA.Port, sw.Ports()[pIdx], intraRate, cfg.LinkLatency)
-			sw.SetRoute(tp.DeviceOf(g), pIdx)
+			gpuPort[g] = int32(pIdx)
 			s.Engine.Register(link.Name, link)
 		}
 	}
@@ -84,7 +85,16 @@ func legacyNew(cfg Config) *System {
 		pIdx := sw.AddPort(network.NewPort(fmt.Sprintf("sw%d.nc", c), cfg.Switch.BufferEntries))
 		sw.SetPortRate(pIdx, intraRate)
 		link := network.NewLink(fmt.Sprintf("l.nc%d", c), ctl.Local, sw.Ports()[pIdx], intraRate, cfg.LinkLatency)
-		sw.SetDefaultRoute(pIdx)
+		// Local GPUs leave on their own ports, every other device on the
+		// controller's.
+		routes := make([]int32, cfg.GPUs)
+		for g := range routes {
+			routes[g] = int32(pIdx)
+			if int(tp.ClusterOf(g)) == c {
+				routes[g] = gpuPort[g]
+			}
+		}
+		sw.SetRoutes(routes)
 		s.Engine.Register(link.Name, link)
 	}
 	inter := network.NewLink("l.inter", s.Controllers[0].Remote, s.Controllers[1].Remote, interRate, cfg.LinkLatency)

@@ -115,69 +115,41 @@ func NewNetwork(g *topo.Graph, opt Options) (*Network, error) {
 	fb := float64(opt.FlitBytes)
 
 	// Link i's A->B direction is segment 2i, its B->A direction 2i+1;
-	// both carry the link's latency. Out-edges per node in CSR form:
-	// node v's are outSeg/outPeer over [outStart[v], outStart[v+1]).
+	// both carry the link's latency, and segHead[sg] is the node segment
+	// sg leads to. A device's single link (validation guarantees it, to
+	// a switch) is its uplink; devices are nodes 0..nDev-1.
 	segLat := func(sg int32) float64 { return float64(g.Links[sg/2].Latency) }
-	outStart := make([]int32, rt.NumNodes()+1)
+	segHead := make([]int32, 2*nLinks)
+	attach := make([]int, nDev)
 	for i, l := range g.Links {
 		n.cap = append(n.cap, float64(l.RateAB())*fb, float64(l.RateBA())*fb)
 		a, b := rt.LinkNodes(i)
-		outStart[a+1]++
-		outStart[b+1]++
+		segHead[2*i], segHead[2*i+1] = b, a
+		switch {
+		case rt.SwitchOrdinal(a) < 0:
+			n.up[a], attach[a] = int32(2*i), rt.SwitchOrdinal(b)
+		case rt.SwitchOrdinal(b) < 0:
+			n.up[b], attach[b] = int32(2*i+1), rt.SwitchOrdinal(a)
+		}
 	}
 	n.injBase = len(n.cap)
-	for range g.Devices {
+	for d := range g.Devices {
 		n.cap = append(n.cap, float64(opt.LinesPerCycle)*comm.LineBytes)
-	}
-	for v := 1; v < len(outStart); v++ {
-		outStart[v] += outStart[v-1]
-	}
-	outSeg := make([]int32, 2*nLinks)
-	outPeer := make([]int32, 2*nLinks)
-	cursor := append([]int32(nil), outStart[:len(outStart)-1]...)
-	for i := range g.Links {
-		a, b := rt.LinkNodes(i)
-		outSeg[cursor[a]], outPeer[cursor[a]] = int32(2*i), b
-		cursor[a]++
-		outSeg[cursor[b]], outPeer[cursor[b]] = int32(2*i+1), a
-		cursor[b]++
-	}
-
-	// Device uplinks and attach switches; validation guarantees each
-	// device has exactly one link, to a switch.
-	attach := make([]int, nDev)
-	for d := 0; d < nDev; d++ {
-		k := outStart[d]
-		n.up[d], n.upLat[d] = outSeg[k], segLat(outSeg[k])
-		attach[d] = rt.SwitchOrdinal(outPeer[k])
+		n.upLat[d] = segLat(n.up[d])
 	}
 
 	// nextSeg[s*nDev+d] is the segment switch s forwards toward device d
-	// on: Routing's next-hop table with each hop resolved to the link
-	// direction that reaches it. segTo is per-switch scratch, indexed by
-	// neighbor node ID.
+	// on: Routing's next link, in the direction leaving s (2l, or 2l+1
+	// when s is the link's B end).
 	nextSeg := make([]int32, nSw*nDev)
-	segTo := make([]int32, rt.NumNodes())
-	for i := range segTo {
-		segTo[i] = -1
-	}
 	for s := 0; s < nSw; s++ {
 		sn := rt.SwitchNode(s)
-		out := outStart[sn]
-		end := outStart[sn+1]
-		for k := out; k < end; k++ {
-			segTo[outPeer[k]] = outSeg[k]
-		}
 		for d := 0; d < nDev; d++ {
-			sg := segTo[rt.NextHop(s, d)]
-			if sg < 0 {
-				return nil, fmt.Errorf("flow: switch %s routes to %s over a non-neighbor",
-					rt.NodeName(sn), rt.NodeName(rt.DeviceNode(d)))
+			sg := int32(2 * rt.NextLink(s, d))
+			if segHead[sg] == sn {
+				sg++
 			}
 			nextSeg[s*nDev+d] = sg
-		}
-		for k := out; k < end; k++ {
-			segTo[outPeer[k]] = -1
 		}
 	}
 
@@ -202,7 +174,6 @@ func NewNetwork(g *topo.Graph, opt Options) (*Network, error) {
 	hopLat := float64(opt.HopCycles)
 	for _, d0 := range rowDev {
 		for t := 0; t < nDev; t++ {
-			dst := rt.DeviceNode(t)
 			lat := 0.0
 			for s, steps := attach[d0], 0; ; steps++ {
 				if steps > nSw {
@@ -212,11 +183,10 @@ func NewNetwork(g *topo.Graph, opt Options) (*Network, error) {
 				sg := nextSeg[s*nDev+t]
 				n.arena = append(n.arena, sg)
 				lat += hopLat + segLat(sg)
-				nh := rt.NextHop(s, t)
-				if nh == dst {
+				if segHead[sg] == int32(t) {
 					break
 				}
-				s = rt.SwitchOrdinal(nh)
+				s = rt.SwitchOrdinal(segHead[sg])
 			}
 			n.routeOff = append(n.routeOff, int32(len(n.arena)))
 			n.routeLat = append(n.routeLat, lat)

@@ -43,7 +43,11 @@ func newOracle(t *testing.T, g *topo.Graph, opt Options) *oracle {
 	for s, sw := range g.Switches {
 		m := make(map[string]string, len(g.Devices))
 		for d, dev := range g.Devices {
-			m[dev.Name] = rt.NextHopName(s, d)
+			l := g.Links[rt.NextLink(s, d)]
+			m[dev.Name] = l.A
+			if l.A == sw.Name {
+				m[dev.Name] = l.B
+			}
 		}
 		o.hops[sw.Name] = m
 	}

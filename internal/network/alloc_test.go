@@ -16,7 +16,7 @@ import (
 func newIdleSwitch(nPorts int) *Switch {
 	sw := NewSwitch("sw", SwitchConfig{ProcessingLatency: 4, BufferEntries: 64})
 	for i := 0; i < nPorts; i++ {
-		sw.NewPort("p")
+		sw.AddPort(NewPort("sw.p", 64))
 	}
 	return sw
 }
@@ -97,7 +97,7 @@ func BenchmarkSwitchHotLoop(b *testing.B) {
 	src, dst := NewPort("src", 1024), NewPort("dst", 1024)
 	sw.AddPort(NewPort("in", 1024))
 	outP := sw.AddPort(NewPort("out", 1024))
-	sw.SetRoute(2, outP)
+	sw.SetRoutes([]int32{2: int32(outP)})
 	e.Register("l1", NewLink("l1", src, sw.Ports()[0], 4, 1))
 	e.Register("sw", sw)
 	e.Register("l2", NewLink("l2", sw.Ports()[1], dst, 4, 1))

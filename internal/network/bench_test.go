@@ -17,7 +17,7 @@ func BenchmarkSwitchSaturated(b *testing.B) {
 	sw.SetPortRate(dp, 8)
 	e.Register("l1", NewLink("l1", src, sw.Ports()[sp], 8, 1))
 	e.Register("l2", NewLink("l2", sw.Ports()[dp], dst, 8, 1))
-	sw.SetRoute(1, dp)
+	sw.SetRoutes([]int32{1: int32(dp)})
 	sk := &sink{port: dst}
 	e.Register("sw", sw)
 	e.Register("sk", sk)

@@ -118,28 +118,29 @@ func TestLinkBackpressureNoLoss(t *testing.T) {
 }
 
 // buildStar wires nEnd endpoints to one switch with unit-rate ports.
-func buildStar(t *testing.T, nEnd int, cfg SwitchConfig) (*sim.Engine, []*Port, []*sink, *Switch) {
+func buildStar(t *testing.T, nEnd int, cfg SwitchConfig) (*sim.Engine, []*Port, []*sink) {
 	t.Helper()
 	e := sim.NewEngine()
 	sw := NewSwitch("sw", cfg)
 	endPorts := make([]*Port, nEnd)
 	sinks := make([]*sink, nEnd)
+	routes := make([]int32, nEnd)
 	for i := 0; i < nEnd; i++ {
-		ep := NewPort("end", 1024)
-		swp := sw.NewPort("p")
+		ep, swp := NewPort("end", 1024), NewPort("sw.p", cfg.BufferEntries)
+		routes[i] = int32(sw.AddPort(swp))
 		link := NewLink("l", ep, swp, 1, 1)
-		sw.SetRoute(flit.DeviceID(i), i)
 		endPorts[i] = ep
 		sinks[i] = &sink{port: ep}
 		e.Register("link", link)
 		e.Register("sink", sinks[i])
 	}
+	sw.SetRoutes(routes)
 	e.Register("sw", sw)
-	return e, endPorts, sinks, sw
+	return e, endPorts, sinks
 }
 
 func TestSwitchRoutesToCorrectPort(t *testing.T) {
-	e, ports, sinks, _ := buildStar(t, 3, DefaultSwitchConfig())
+	e, ports, sinks := buildStar(t, 3, DefaultSwitchConfig())
 	ports[0].Out.Push(mkFlit(1, 2), 0) // from endpoint 0 to device 2
 	ports[0].Out.Push(mkFlit(2, 1), 0)
 	_, err := e.RunUntil(func() bool { return len(sinks[1].got)+len(sinks[2].got) == 2 }, 1000)
@@ -159,7 +160,7 @@ func TestSwitchRoutesToCorrectPort(t *testing.T) {
 
 func TestSwitchProcessingLatency(t *testing.T) {
 	run := func(lat sim.Cycle) sim.Cycle {
-		e, ports, sinks, _ := buildStar(t, 2, SwitchConfig{ProcessingLatency: lat, BufferEntries: 1024})
+		e, ports, sinks := buildStar(t, 2, SwitchConfig{ProcessingLatency: lat, BufferEntries: 1024})
 		ports[0].Out.Push(mkFlit(1, 1), 0)
 		end, err := e.RunUntil(func() bool { return len(sinks[1].got) == 1 }, 1000)
 		if err != nil {
@@ -174,7 +175,7 @@ func TestSwitchProcessingLatency(t *testing.T) {
 }
 
 func TestSwitchUnroutablePanics(t *testing.T) {
-	e, ports, _, _ := buildStar(t, 2, DefaultSwitchConfig())
+	e, ports, _ := buildStar(t, 2, DefaultSwitchConfig())
 	ports[0].Out.Push(mkFlit(1, 99), 0) // no route for device 99
 	defer func() {
 		if recover() == nil {
@@ -184,19 +185,10 @@ func TestSwitchUnroutablePanics(t *testing.T) {
 	e.Run(100)
 }
 
-func TestSwitchDefaultRoute(t *testing.T) {
-	e, ports, sinks, sw := buildStar(t, 2, DefaultSwitchConfig())
-	sw.SetDefaultRoute(1)
-	ports[0].Out.Push(mkFlit(1, 99), 0)
-	if _, err := e.RunUntil(func() bool { return len(sinks[1].got) == 1 }, 1000); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSwitchConservation drives a 4-endpoint star with all-to-all
 // traffic and checks flit conservation and no duplication.
 func TestSwitchConservation(t *testing.T) {
-	e, ports, sinks, _ := buildStar(t, 4, DefaultSwitchConfig())
+	e, ports, sinks := buildStar(t, 4, DefaultSwitchConfig())
 	rng := sim.NewRand(7)
 	const N = 400
 	want := make([]int, 4)
@@ -247,7 +239,7 @@ func TestSwitchHighRatePort(t *testing.T) {
 		sw.SetPortRate(dp, rate)
 		e.Register("l1", NewLink("l1", src, sw.Ports()[sp], rate, 1))
 		e.Register("l2", NewLink("l2", sw.Ports()[dp], dst, rate, 1))
-		sw.SetRoute(1, dp)
+		sw.SetRoutes([]int32{1: int32(dp)})
 		sk := &sink{port: dst}
 		e.Register("sw", sw)
 		e.Register("sink", sk)

@@ -2,7 +2,9 @@
 // links, and crossbar switches with a fixed processing pipeline and
 // bounded I/O buffers that exert back-pressure, per the paper's network
 // switch parameters (30-cycle processing latency, 1024-entry buffers,
-// 1 flit/cycle/port crossbar).
+// 1 flit/cycle/port crossbar). A switch forwards by a static
+// device→port table installed whole (Switch.SetRoutes); package
+// cluster derives every switch's table from topo.Routes.
 package network
 
 import (

@@ -1,46 +1,11 @@
 package network
 
 import (
-	"strings"
 	"testing"
 
 	"netcrafter/internal/flit"
 	"netcrafter/internal/sim"
 )
-
-func TestAddRouteDuplicateIsError(t *testing.T) {
-	sw := NewSwitch("sw", DefaultSwitchConfig())
-	sw.NewPort("p0")
-	sw.NewPort("p1")
-	if err := sw.AddRoute(3, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Re-adding the same mapping is a no-op.
-	if err := sw.AddRoute(3, 0); err != nil {
-		t.Fatalf("idempotent re-add rejected: %v", err)
-	}
-	// A conflicting mapping is the silent-overwrite bug surfaced.
-	err := sw.AddRoute(3, 1)
-	if err == nil {
-		t.Fatal("conflicting duplicate route accepted")
-	}
-	if !strings.Contains(err.Error(), "duplicate route") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-}
-
-func TestSetRouteConflictPanics(t *testing.T) {
-	sw := NewSwitch("sw", DefaultSwitchConfig())
-	sw.NewPort("p0")
-	sw.NewPort("p1")
-	sw.SetRoute(3, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("conflicting SetRoute did not panic")
-		}
-	}()
-	sw.SetRoute(3, 1)
-}
 
 // TestSixPortSwitchDelivery drives a switch wider than the seed's
 // 3-port cluster switches: one injector port and five destinations,
@@ -49,20 +14,21 @@ func TestSixPortSwitchDelivery(t *testing.T) {
 	sw := NewSwitch("wide", SwitchConfig{ProcessingLatency: 2, BufferEntries: 64})
 	e := sim.NewEngine()
 
-	src := NewPort("src", 64)
-	in := sw.NewPort("in")
+	src, in := NewPort("src", 64), NewPort("wide.in", 64)
+	sw.AddPort(in)
 	e.Register("l.in", NewLink("l.in", src, in, 4, 1))
 	sw.SetPortRate(0, 4)
 
 	sinks := make([]*sink, 5)
+	routes := make([]int32, 5)
 	for i := 0; i < 5; i++ {
-		far := NewPort("far", 64)
-		p := sw.NewPort("out")
+		far, p := NewPort("far", 64), NewPort("wide.out", 64)
+		routes[i] = int32(sw.AddPort(p))
 		e.Register("l.out", NewLink("l.out", p, far, 1, 1))
 		sinks[i] = &sink{port: far}
 		e.Register("sink", sinks[i])
-		sw.SetRoute(flit.DeviceID(i), i+1)
 	}
+	sw.SetRoutes(routes)
 	e.Register("sw", sw)
 
 	const perDst = 8

@@ -38,9 +38,9 @@ type Switch struct {
 	rates   []int
 	maxRate int
 	granted []int // per-tick scratch, reused across cycles
-	route   map[flit.DeviceID]int
-	defPort int
-	rrNext  int
+	// routes[d] is the port flits for device d leave on (see SetRoutes).
+	routes []int32
+	rrNext int
 	// waker is the engine handle when the switch is registered with a
 	// wake-scheduled engine. Besides re-arming on port input, it
 	// supplies the processed-round counter that the round-robin pointer
@@ -51,16 +51,9 @@ type Switch struct {
 	waker *sim.Waker
 }
 
-// NewSwitch creates a switch with no ports attached. defPort is used
-// for any destination without an explicit route (-1 = drop is illegal:
-// unroutable flits panic, surfacing topology bugs immediately).
+// NewSwitch creates a switch with no ports attached and no routes.
 func NewSwitch(name string, cfg SwitchConfig) *Switch {
-	return &Switch{
-		Name:    name,
-		cfg:     cfg,
-		route:   make(map[flit.DeviceID]int),
-		defPort: -1,
-	}
+	return &Switch{Name: name, cfg: cfg}
 }
 
 // AddPort attaches a port with a 1 flit/cycle service rate and returns
@@ -78,13 +71,6 @@ func (s *Switch) AddPort(p *Port) int {
 	return len(s.ports) - 1
 }
 
-// NewPort creates, attaches and returns a new port on the switch.
-func (s *Switch) NewPort(name string) *Port {
-	p := NewPort(fmt.Sprintf("%s.%s", s.Name, name), s.cfg.BufferEntries)
-	s.AddPort(p)
-	return p
-}
-
 // SetPortRate sets the per-cycle flit service rate of a port; topology
 // code matches it to the attached link's bandwidth.
 func (s *Switch) SetPortRate(port, flitsPerCycle int) {
@@ -98,50 +84,26 @@ func (s *Switch) SetPortRate(port, flitsPerCycle int) {
 	}
 }
 
-// AddRoute directs flits for dev out of the given port index. A
-// conflicting duplicate — the device already routed out a different
-// port — is an error: earlier the second entry silently replaced the
-// first, hiding topology bugs until flits looped or vanished. Topology
-// construction propagates the error; re-adding the same mapping is a
-// no-op.
-func (s *Switch) AddRoute(dev flit.DeviceID, port int) error {
-	s.mustPort(port)
-	if prev, ok := s.route[dev]; ok && prev != port {
-		return fmt.Errorf("network: switch %s: duplicate route for device %d (port %d, then %d)",
-			s.Name, dev, prev, port)
+// SetRoutes installs the switch's whole forwarding table: flits for
+// device d leave on port routes[d]. The switch keeps the slice rather
+// than copying it (package cluster hands every switch its row of one
+// shared arena). A port the switch lacks panics here; a flit for a
+// device past the end of the table panics when it is routed, so a
+// topology bug surfaces at once instead of as lost traffic.
+func (s *Switch) SetRoutes(routes []int32) {
+	for _, p := range routes {
+		s.mustPort(int(p))
 	}
-	s.route[dev] = port
-	return nil
+	s.routes = routes
 }
 
-// SetRoute directs flits for dev out of the given port index, panicking
-// on a conflicting duplicate (use AddRoute to handle it as an error).
-func (s *Switch) SetRoute(dev flit.DeviceID, port int) {
-	if err := s.AddRoute(dev, port); err != nil {
-		panic(err)
-	}
-}
-
-// SetDefaultRoute directs flits with no explicit route out of port.
-func (s *Switch) SetDefaultRoute(port int) {
-	s.mustPort(port)
-	s.defPort = port
-}
+// Routes returns the installed forwarding table.
+func (s *Switch) Routes() []int32 { return s.routes }
 
 func (s *Switch) mustPort(port int) {
 	if port < 0 || port >= len(s.ports) {
 		panic(fmt.Sprintf("network: switch %s has no port %d", s.Name, port))
 	}
-}
-
-func (s *Switch) portFor(dev flit.DeviceID) int {
-	if p, ok := s.route[dev]; ok {
-		return p
-	}
-	if s.defPort >= 0 {
-		return s.defPort
-	}
-	panic(fmt.Sprintf("network: switch %s cannot route to device %d", s.Name, dev))
 }
 
 // Tick implements sim.Ticker: ingest, route, eject.
@@ -185,7 +147,11 @@ func (s *Switch) Tick(now sim.Cycle) bool {
 			if !ok {
 				continue
 			}
-			out := s.portFor(f.Pkt.Dst)
+			dst := f.Pkt.Dst
+			if uint(dst) >= uint(len(s.routes)) {
+				panic(fmt.Sprintf("network: switch %s cannot route to device %d", s.Name, dst))
+			}
+			out := s.routes[dst]
 			if granted[out] >= s.rates[out] || s.outBufs[out].Full() {
 				continue
 			}

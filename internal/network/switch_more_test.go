@@ -19,7 +19,7 @@ func TestSwitchRoundRobinFairness(t *testing.T) {
 	e.Register("la", NewLink("la", srcA, sw.Ports()[pa], 4, 1))
 	e.Register("lb", NewLink("lb", srcB, sw.Ports()[pb], 4, 1))
 	e.Register("ld", NewLink("ld", sw.Ports()[pd], dst, 1, 1))
-	sw.SetRoute(9, pd)
+	sw.SetRoutes([]int32{9: int32(pd)})
 	sk := &sink{port: dst}
 	e.Register("sw", sw)
 	e.Register("sk", sk)
@@ -48,7 +48,7 @@ func TestSwitchRoundRobinFairness(t *testing.T) {
 // TestSwitchPerInputOrderPreserved: flits from one input to one output
 // stay in order through the pipeline and crossbar.
 func TestSwitchPerInputOrderPreserved(t *testing.T) {
-	e, ports, sinks, _ := buildStar(t, 2, DefaultSwitchConfig())
+	e, ports, sinks := buildStar(t, 2, DefaultSwitchConfig())
 	const n = 50
 	for i := 0; i < n; i++ {
 		ports[0].Out.Push(mkFlit(uint64(i), 1), 0)
@@ -118,7 +118,7 @@ func TestBadLinkAndPortRatePanic(t *testing.T) {
 	func() {
 		defer func() { recover() }()
 		sw := NewSwitch("sw", DefaultSwitchConfig())
-		sw.SetRoute(1, 5)
+		sw.SetRoutes([]int32{5})
 		t.Error("route to missing port accepted")
 	}()
 }

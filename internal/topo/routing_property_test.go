@@ -68,7 +68,8 @@ func referenceNextHops(t *testing.T, g *Graph) map[string]map[string]string {
 
 // NextHops is the string view of Routes, kept in test code as the
 // form the routing oracles compare in: result[switch][device] = name of
-// the neighbor on the shortest path from that switch to that device.
+// the neighbor on the shortest path from that switch to that device —
+// the far end of the table's next link.
 func (g *Graph) NextHops() (map[string]map[string]string, error) {
 	r, err := g.Routes()
 	if err != nil {
@@ -78,7 +79,11 @@ func (g *Graph) NextHops() (map[string]map[string]string, error) {
 	for s, sw := range g.Switches {
 		m := make(map[string]string, len(g.Devices))
 		for d, dev := range g.Devices {
-			m[dev.Name] = r.NextHopName(s, d)
+			l := g.Links[r.NextLink(s, d)]
+			m[dev.Name] = l.A
+			if l.A == sw.Name {
+				m[dev.Name] = l.B
+			}
 		}
 		hops[sw.Name] = m
 	}

@@ -3,10 +3,13 @@
 // bandwidth (flits/cycle) and propagation latency. A Graph can come
 // from a compact JSON spec (Parse), from a programmatic builder
 // (FrontierNode, Ring, FullyConnected, ...), or from a named preset.
-// After Validate passes, Routes derives deterministic shortest-path
-// routing tables (BFS with stable tie-breaks) and package cluster can
-// instantiate the graph as a runnable system, placing a NetCrafter
-// controller at every cluster-boundary egress the graph identifies.
+// After Validate passes, Routes derives the deterministic shortest-path
+// routing table (BFS with stable tie-breaks): for every switch and
+// device, the index in Links of the first hop. It is the one routing
+// representation — package cluster turns it into switch port tables
+// when it instantiates the graph as a runnable system (placing a
+// NetCrafter controller at every bandwidth taper point the graph
+// identifies), and package flow into link-direction segments.
 //
 // # Conventions
 //
@@ -131,16 +134,20 @@ func (g *Graph) Boundary(l Link) bool {
 // and instantiation: stable integer node IDs (devices first, then
 // switches, each in declaration order) and a compact CSR adjacency
 // whose per-node neighbor order is link-declaration order — the order
-// that makes routing tie-breaks deterministic. int32 node IDs keep the
-// routing tables and BFS frontiers cache-compact at the 512-GPU scale.
+// that makes routing tie-breaks deterministic. Each adjacency entry
+// also carries the Graph.Links index it was reached over, which is what
+// the routing table stores. int32 IDs keep the routing tables and BFS
+// frontiers cache-compact at the 512-GPU scale.
 type gindex struct {
 	id      map[string]int
 	names   []string
 	isDev   []bool
 	cluster []int
-	// CSR adjacency: node n's neighbors are adjNode[adjStart[n]:adjStart[n+1]].
+	// CSR adjacency: node n's neighbors are adjNode[adjStart[n]:adjStart[n+1]],
+	// reached over the links at the same positions of adjLink.
 	adjStart []int32
 	adjNode  []int32
+	adjLink  []int32
 	// linkEnd[2i], linkEnd[2i+1] are the node IDs of Links[i].A and .B.
 	linkEnd []int32
 }
@@ -148,6 +155,12 @@ type gindex struct {
 // neighbors returns node n's neighbor IDs in link-declaration order.
 func (ix *gindex) neighbors(n int) []int32 {
 	return ix.adjNode[ix.adjStart[n]:ix.adjStart[n+1]]
+}
+
+// links returns the Graph.Links indices of node n's links, parallel to
+// neighbors(n).
+func (ix *gindex) links(n int) []int32 {
+	return ix.adjLink[ix.adjStart[n]:ix.adjStart[n+1]]
 }
 
 // degree returns node n's link count.
@@ -201,21 +214,24 @@ func (g *Graph) index() (*gindex, error) {
 			return nil, unknownNodeErr(ix, l, l.B)
 		}
 		ix.linkEnd[2*i], ix.linkEnd[2*i+1] = int32(a), int32(b)
-		ix.adjStart[a+1]++
-		ix.adjStart[b+1]++
+		ix.adjStart[a]++
+		ix.adjStart[b]++
 	}
-	for i := 0; i < n; i++ {
-		ix.adjStart[i+1] += ix.adjStart[i]
+	// adjStart[v] now counts v's links; summed, it is the end of v's
+	// range. Filling links in reverse declaration order, each at its
+	// endpoints' decremented ends, leaves every range in declaration
+	// order and adjStart[v] at its start, with no cursor array.
+	for i := 1; i <= n; i++ {
+		ix.adjStart[i] += ix.adjStart[i-1]
 	}
 	ix.adjNode = make([]int32, ix.adjStart[n])
-	cursor := make([]int32, n)
-	copy(cursor, ix.adjStart[:n])
-	for i := range g.Links {
+	ix.adjLink = make([]int32, ix.adjStart[n])
+	for i := len(g.Links) - 1; i >= 0; i-- {
 		a, b := ix.linkEnd[2*i], ix.linkEnd[2*i+1]
-		ix.adjNode[cursor[a]] = b
-		cursor[a]++
-		ix.adjNode[cursor[b]] = a
-		cursor[b]++
+		ix.adjStart[a]--
+		ix.adjNode[ix.adjStart[a]], ix.adjLink[ix.adjStart[a]] = b, int32(i)
+		ix.adjStart[b]--
+		ix.adjNode[ix.adjStart[b]], ix.adjLink[ix.adjStart[b]] = a, int32(i)
 	}
 	return ix, nil
 }
