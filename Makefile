@@ -58,11 +58,12 @@ bench:
 # The engine/queue/scheduler/fabric hot-path micro-benchmarks that the
 # wake-scheduled engine work is measured by, plus the flow backend's
 # set-up and solve costs (network compilation at 512 GPUs, plan
-# generation, one alltoall solve), the NetCrafter controller's
-# trim/stitch/pool/eject path, and cycle-backend system set-up
-# (cluster.Build on 64-GPU and 8-GPU fabrics). `bench-micro` gives real
-# numbers; `bench-micro-smoke` (in ci) just proves they still compile,
-# run, and hold their 0 allocs/op pins.
+# generation, one alltoall solve), the flit pool's segment/stitch/
+# reassemble path, the NetCrafter controller's trim/stitch/pool/eject
+# path, cycle-backend system set-up (cluster.Build on 64-GPU and 8-GPU
+# fabrics) and one steady-state remote write through a built system.
+# `bench-micro` gives real numbers; `bench-micro-smoke` (in ci) just
+# proves they still compile, run, and hold their 0 allocs/op pins.
 bench-micro:
 	$(GO) test -run='^$$' -bench='BenchmarkEngine|BenchmarkQueue|BenchmarkScheduler' \
 		-benchmem -count=3 ./internal/sim
@@ -78,9 +79,11 @@ bench-micro:
 		-benchmem -count=3 ./internal/flow
 	$(GO) test -run='^$$' -bench='BenchmarkCommGen' \
 		-benchmem -count=3 ./internal/comm
+	$(GO) test -run='^$$' -bench='BenchmarkSegment|BenchmarkStitch|BenchmarkReassemble' \
+		-benchmem -count=3 ./internal/flit
 	$(GO) test -run='^$$' -bench='BenchmarkController' \
 		-benchmem -count=3 ./internal/core
-	$(GO) test -run='^$$' -bench='BenchmarkBuild' \
+	$(GO) test -run='^$$' -bench='BenchmarkBuild|BenchmarkRemoteWrite' \
 		-benchmem -count=3 ./internal/cluster
 
 bench-micro-smoke:
@@ -98,10 +101,14 @@ bench-micro-smoke:
 		-benchmem -count=1 -benchtime=10x ./internal/flow
 	$(GO) test -run='^$$' -bench='BenchmarkCommGen' \
 		-benchmem -count=1 -benchtime=10x ./internal/comm
+	$(GO) test -run='NoAllocs' -bench='BenchmarkSegment|BenchmarkStitch|BenchmarkReassemble' \
+		-benchmem -count=1 -benchtime=100x ./internal/flit
 	$(GO) test -run='^$$' -bench='BenchmarkController' \
 		-benchmem -count=1 -benchtime=100x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkBuild' \
 		-benchmem -count=1 -benchtime=2x ./internal/cluster
+	$(GO) test -run='NoAllocs' -bench='BenchmarkRemoteWrite' \
+		-benchmem -count=1 -benchtime=100x ./internal/cluster
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzTopoParse -fuzztime=5s -run='^$$' ./internal/topo

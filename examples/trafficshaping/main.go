@@ -20,7 +20,7 @@ import (
 // otherwise arrivals are spaced a few cycles apart.
 func drive(cfg core.Config, pkts []*flit.Packet, burst bool) []*flit.Flit {
 	eng := sim.NewEngine()
-	ctl := core.NewController("demo", 0, 1, cfg)
+	ctl := core.NewController("demo", 0, 1, cfg, nil)
 	eng.Register("ctl", ctl)
 	var out []*flit.Flit
 	eng.Register("drain", sim.TickerFunc(func(now sim.Cycle) bool {

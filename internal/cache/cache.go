@@ -130,9 +130,15 @@ func (s *Stats) MissRate() float64 {
 }
 
 // Cache is a set-associative, optionally sectored cache.
+//
+// Its lines live in one flat slice, set-major, allocated by the first
+// Fill: a cache that is never filled (every cache of a comm-only run)
+// holds no line storage, and answers every probe exactly as an empty
+// one does, because an empty set has no valid way to match.
 type Cache struct {
 	cfg   Config
-	sets  [][]line
+	nSets uint64
+	lines []line // nSets*Ways entries, nil until the first Fill
 	clock uint64
 	Stats Stats
 }
@@ -145,19 +151,22 @@ func New(cfg Config) *Cache {
 	if nSets == 0 {
 		nSets = 1
 	}
-	sets := make([][]line, nSets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
-	}
-	return &Cache{cfg: cfg, sets: sets}
+	return &Cache{cfg: cfg, nSets: uint64(nSets)}
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
+// locate returns the set holding addr (empty before the first Fill)
+// and the line's tag.
 func (c *Cache) locate(addr uint64) (set []line, tag uint64) {
 	lineAddr := addr / uint64(c.cfg.LineBytes)
-	return c.sets[lineAddr%uint64(len(c.sets))], lineAddr
+	if c.lines == nil {
+		return nil, lineAddr
+	}
+	w := uint64(c.cfg.Ways)
+	i := lineAddr % c.nSets * w
+	return c.lines[i : i+w : i+w], lineAddr
 }
 
 // Lookup probes the cache for the needed sectors of the line holding
@@ -209,6 +218,9 @@ func (c *Cache) Fill(addr uint64, mask SectorMask) (ev Eviction, evicted bool) {
 	}
 	c.Stats.Fills.Inc()
 	c.clock++
+	if c.lines == nil {
+		c.lines = make([]line, c.nSets*uint64(c.cfg.Ways))
+	}
 	set, tag := c.locate(addr)
 	// Already present: merge sectors.
 	for i := range set {
@@ -282,12 +294,10 @@ func (c *Cache) Invalidate(addr uint64) bool {
 // InvalidateAll clears the whole cache (kernel-boundary flush). Dirty
 // lines are counted as write-backs.
 func (c *Cache) InvalidateAll() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].dirty {
-				c.Stats.Writebacks.Inc()
-			}
-			c.sets[si][wi] = line{}
+	for i := range c.lines {
+		if c.lines[i].dirty {
+			c.Stats.Writebacks.Inc()
 		}
+		c.lines[i] = line{}
 	}
 }

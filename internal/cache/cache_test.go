@@ -260,3 +260,47 @@ func TestMissRate(t *testing.T) {
 		t.Fatal("empty miss rate != 0")
 	}
 }
+
+// TestUnfilledCacheMatchesEmpty pins the storage-at-first-fill rule: a
+// cache that was never filled holds no line storage, and Lookup,
+// Contains, Write, Invalidate and InvalidateAll answer exactly as they
+// do on an allocated cache with no valid line, statistics and LRU clock
+// included. The first Fill allocates.
+func TestUnfilledCacheMatchesEmpty(t *testing.T) {
+	for _, cfg := range []Config{tiny(), L1Config(), L2BankConfig()} {
+		lazy, empty := New(cfg), New(cfg)
+		empty.lines = make([]line, empty.nSets*uint64(cfg.Ways))
+		full := cfg.FullMask()
+		for i := uint64(0); i < 64; i++ {
+			addr := i * 0x1040
+			if a, b := lazy.Lookup(addr, full), empty.Lookup(addr, full); a != b {
+				t.Fatalf("Lookup(%#x) = %v unfilled, %v empty", addr, a, b)
+			}
+			if a, b := lazy.Contains(addr, 1), empty.Contains(addr, 1); a != b {
+				t.Fatalf("Contains(%#x) = %v unfilled, %v empty", addr, a, b)
+			}
+			if a, b := lazy.Write(addr, full), empty.Write(addr, full); a != b {
+				t.Fatalf("Write(%#x) = %v unfilled, %v empty", addr, a, b)
+			}
+			if a, b := lazy.Invalidate(addr), empty.Invalidate(addr); a != b {
+				t.Fatalf("Invalidate(%#x) = %v unfilled, %v empty", addr, a, b)
+			}
+		}
+		lazy.InvalidateAll()
+		empty.InvalidateAll()
+		if lazy.Stats != empty.Stats || lazy.clock != empty.clock {
+			t.Fatalf("unfilled stats %+v clock %d, empty %+v clock %d",
+				lazy.Stats, lazy.clock, empty.Stats, empty.clock)
+		}
+		if lazy.lines != nil {
+			t.Fatalf("%+v: probes allocated %d lines before any fill", cfg, len(lazy.lines))
+		}
+		lazy.Fill(0x40, full)
+		if got, want := len(lazy.lines), cfg.SizeBytes/cfg.LineBytes; got != want {
+			t.Fatalf("first fill allocated %d lines, want %d", got, want)
+		}
+		if r := lazy.Lookup(0x40, full); r != Hit {
+			t.Fatalf("lookup after first fill = %v", r)
+		}
+	}
+}

@@ -34,6 +34,7 @@ func commAddr(dst int, off uint64) uint64 {
 // dwell track. Repeated calls on one system run back to back on the
 // engine's clock.
 func (s *System) RunComm(p *comm.Plan, opt comm.Options, limit sim.Cycle) (*comm.Result, error) {
+	defer s.emptyPools()
 	if s.Shards() > 1 {
 		return nil, fmt.Errorf("cluster: the comm runner registers global injectors and a shared tracker and needs the serial engine: run with Shards <= 1")
 	}

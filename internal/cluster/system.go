@@ -248,6 +248,9 @@ type System struct {
 	coord    *shard.Coordinator
 	idleFns  []func() bool
 	obsSpans bool
+	// pools holds one flit and packet free list per shard, handed to
+	// the shard's RDMA engines and controllers with its scheduler.
+	pools []*flit.Pool
 }
 
 // graphTopology implements gpu.Topology from the device list of a
@@ -301,10 +304,12 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 	nShards := plan.Shards()
 	s.Engines = make([]*sim.Engine, nShards)
 	scheds := make([]*sim.Scheduler, nShards)
+	s.pools = make([]*flit.Pool, nShards)
 	shardGPUs := make([][]*gpu.GPU, nShards)
 	for i := range s.Engines {
 		s.Engines[i] = sim.NewEngine()
 		scheds[i] = sim.NewScheduler()
+		s.pools[i] = flit.NewPool()
 		if cfg.Profile {
 			s.Engines[i].EnableProfile()
 		}
@@ -325,7 +330,7 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 	}
 	for i, d := range g.Devices {
 		sh := plan.Of(d.Cluster)
-		gp := gpu.New(i, cfg.GPU, tp, s.PT, s.Tables[d.Cluster], scheds[sh])
+		gp := gpu.New(i, cfg.GPU, tp, s.PT, s.Tables[d.Cluster], scheds[sh], s.pools[sh])
 		s.GPUs = append(s.GPUs, gp)
 		shardGPUs[sh] = append(shardGPUs[sh], gp)
 	}
@@ -407,15 +412,16 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 		}
 		cc := ncCfg
 		cc.EjectRate = egressRate
-		ctl := core.NewController(ctlName, flit.ClusterID(cluster), remoteClusters, cc)
+		sh := plan.Of(cluster)
+		ctl := core.NewController(ctlName, flit.ClusterID(cluster), remoteClusters, cc, s.pools[sh])
 		s.Controllers = append(s.Controllers, ctl)
-		ctlShard = append(ctlShard, plan.Of(cluster))
+		ctlShard = append(ctlShard, sh)
 		if lbw == 0 {
 			lbw = localBW[si]
 		}
 		local := network.NewLink("l."+ctlName, ctl.Local, addPort(si, end, portName, lbw), lbw, lat)
 		s.Links = append(s.Links, local)
-		s.Engines[plan.Of(cluster)].Register(local.Name, local)
+		s.Engines[sh].Register(local.Name, local)
 		return ctl.Remote
 	}
 

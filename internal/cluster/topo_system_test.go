@@ -59,7 +59,7 @@ func legacyNew(cfg Config) *System {
 	gpuPort := make([]int32, cfg.GPUs) // each GPU's port on its cluster switch
 
 	for g := 0; g < cfg.GPUs; g++ {
-		s.GPUs = append(s.GPUs, gpu.New(g, cfg.GPU, tp, s.PT, nil, sched))
+		s.GPUs = append(s.GPUs, gpu.New(g, cfg.GPU, tp, s.PT, nil, sched, nil))
 	}
 
 	for c := 0; c < nClusters; c++ {
@@ -79,7 +79,7 @@ func legacyNew(cfg Config) *System {
 	ncCfg.FlitBytes = flitBytes
 	ncCfg.EjectRate = interRate
 	for c := 0; c < nClusters; c++ {
-		ctl := core.NewController(fmt.Sprintf("nc%d", c), flit.ClusterID(c), nClusters-1, ncCfg)
+		ctl := core.NewController(fmt.Sprintf("nc%d", c), flit.ClusterID(c), nClusters-1, ncCfg, nil)
 		s.Controllers = append(s.Controllers, ctl)
 		sw := switches[c]
 		pIdx := sw.AddPort(network.NewPort(fmt.Sprintf("sw%d.nc", c), cfg.Switch.BufferEntries))

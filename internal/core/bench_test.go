@@ -7,50 +7,79 @@ import (
 	"netcrafter/internal/sim"
 )
 
-// controllerBatch is one op of BenchmarkController, in two waves. The
-// first carries a trim-eligible read response (5 flits trimmed to 2), a
-// full read response and background write payload that keeps the
-// scheduler busy, so the response's 4-byte tail is pooled. The second,
-// arriving while the tail waits, carries another read response (whose
-// tail stitches into the pooled one), a write response and a page-table
-// request (stitch and PTW-sequencing candidates).
-func controllerBatch() (first, second []*flit.Flit) {
-	trim := pkt(flit.ReadRsp, 1)
-	trim.TrimEligible = true
-	first = flit.Segment(trim, 16)
-	first = append(first, flitsOf(flit.ReadRsp, 1)...)
-	first = append(first, backgroundFlits(4)...)
-	second = flitsOf(flit.ReadRsp, 1)
-	second = append(second, flitsOf(flit.WriteRsp, 1)...)
-	second = append(second, flitsOf(flit.PTReq, 1)...)
+// controllerBatch is one op of BenchmarkController, in two waves, with
+// every packet and flit issued by pl. The first carries a trim-eligible
+// read response (5 flits trimmed to 2), a full read response and
+// background write payload that keeps the scheduler busy, so the
+// response's 4-byte tail is pooled. The second, arriving while the tail
+// waits, carries another read response (whose tail stitches into the
+// pooled one), a write response and a page-table request (stitch and
+// PTW-sequencing candidates).
+func controllerBatch(pl *flit.Pool) (first, second []*flit.Flit) {
+	seg := func(t flit.Type, trim bool) []*flit.Flit {
+		p := pl.NewPacket(*pkt(t, 1))
+		p.TrimEligible = trim
+		return pl.Segment(nil, p, 16)
+	}
+	first = seg(flit.ReadRsp, true)
+	first = append(first, seg(flit.ReadRsp, false)...)
+	for i := 0; i < 4; i++ {
+		// Background payload: the first four flits of a write request;
+		// the fifth goes straight back to the pool.
+		w := seg(flit.WriteReq, false)
+		pl.ReleaseFlit(w[4])
+		first = append(first, w[:4]...)
+	}
+	second = seg(flit.ReadRsp, false)
+	second = append(second, seg(flit.WriteRsp, false)...)
+	second = append(second, seg(flit.PTReq, false)...)
 	return first, second
 }
 
-// drainSink pops the controller's wire side without retaining flits, so
-// the benchmark measures the controller rather than the observer.
-type drainSink struct{ ctl *Controller }
+// drainSink pops the controller's wire side and plays the requester:
+// it reassembles what arrives and releases flits and completed packets
+// to the pool without retaining them, so the benchmark measures the
+// controller rather than the observer.
+type drainSink struct {
+	ctl  *Controller
+	pool *flit.Pool
+	r    *flit.Reassembler
+}
 
 func (d drainSink) Tick(now sim.Cycle) bool {
 	busy := false
 	for {
-		if _, ok := d.ctl.Remote.Out.Pop(now); !ok {
+		f, ok := d.ctl.Remote.Out.Pop(now)
+		if !ok {
 			return busy
 		}
+		d.arrive(f.Pkt, f.Used)
+		for _, it := range f.Stitched {
+			d.arrive(it.Pkt, it.Used)
+		}
+		d.pool.ReleaseFlit(f)
 		busy = true
+	}
+}
+
+func (d drainSink) arrive(p *flit.Packet, used int) {
+	if d.r.Add(p, used) {
+		d.pool.ReleasePacket(p)
 	}
 }
 
 // BenchmarkController drives one controller with the paper's final
 // configuration (stitching, 32-cycle selective pooling, trimming, PTW
-// sequencing) through intake trim and egress stitch/pool/eject, one
-// controllerBatch per op, run until the controller drains. Batches are
-// built with the timer stopped, so allocs/op counts the controller's
-// own allocations only.
+// sequencing) and a flit pool through intake trim and egress
+// stitch/pool/eject, one controllerBatch per op, run until the
+// controller drains. Batches are built with the timer stopped, so
+// allocs/op counts the controller's own allocations only.
 func BenchmarkController(b *testing.B) {
-	ctl := NewController("nc", 0, 1, Baseline())
+	pl := flit.NewPool()
+	ctl := NewController("nc", 0, 1, Baseline(), pl)
 	e := sim.NewEngine()
 	e.Register("nc", ctl)
-	e.Register("drain", drainSink{ctl})
+	e.Register("drain", drainSink{ctl, pl, flit.NewReassembler()})
 	drained := func() bool {
 		return ctl.Local.In.Len() == 0 && ctl.QueuedFlits() == 0 && ctl.Remote.Out.Len() == 0
 	}
@@ -64,7 +93,7 @@ func BenchmarkController(b *testing.B) {
 			b.StopTimer()
 			batches = batches[:0]
 			for j := 0; j < chunk; j++ {
-				first, second := controllerBatch()
+				first, second := controllerBatch(pl)
 				batches = append(batches, batch{first, second})
 			}
 			b.StartTimer()

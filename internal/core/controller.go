@@ -71,15 +71,16 @@ type partition struct {
 	poolDeadline sim.Cycle
 }
 
-// trimState tracks an in-flight read response being trimmed: original
-// flits are absorbed and the re-segmented (shorter) flit train is
-// released once the flit carrying the needed sector has arrived.
+// trimState tracks an in-flight packet being trimmed: original flits
+// are absorbed and the re-segmented (shorter) flit train of a trimmed
+// copy is sent once the flit carrying the needed sector has arrived.
+// It is keyed on the original packet, which the trim engine releases
+// with the state when the last original flit has been absorbed.
 type trimState struct {
-	pkt        *flit.Packet
-	releaseSeq int // original flit index whose arrival releases the trimmed train
+	releaseSeq int // original flit index whose arrival sends the trimmed train
 	origCount  int
 	seen       int
-	released   bool
+	sent       bool
 }
 
 // Controller is one NetCrafter controller instance guarding one
@@ -117,7 +118,14 @@ type Controller struct {
 	perDst    map[flit.ClusterID]int // flits queued per destination cluster
 	perDstCap int
 	rr        int
-	trims     map[uint64]*trimState
+	trims     map[*flit.Packet]trimState
+	// pool is the shard's flit and packet free list: un-stitched flits
+	// and trimmed copies come from it; stitched-away candidates, absorbed
+	// original flits and trimmed originals go back to it.
+	pool *flit.Pool
+	// flitBuf is the reused slice un-stitching and re-segmentation
+	// append to.
+	flitBuf []*flit.Flit
 	// dataPrioTokens implements SeqDataEqual: one data flit is
 	// prioritized for every PTW flit that entered the queue.
 	dataPrioTokens int
@@ -151,8 +159,9 @@ func (c *Controller) observe(e WireEvent, now sim.Cycle) {
 
 // NewController creates a controller for cluster home. remoteClusters
 // is how many other clusters exist (the cluster queue is partitioned
-// equally among them).
-func NewController(name string, home flit.ClusterID, remoteClusters int, cfg Config) *Controller {
+// equally among them). pool is the owning shard's flit and packet free
+// list; nil allocates every flit and packet.
+func NewController(name string, home flit.ClusterID, remoteClusters int, cfg Config, pool *flit.Pool) *Controller {
 	cfg = cfg.withDefaults()
 	if remoteClusters < 1 {
 		remoteClusters = 1
@@ -167,7 +176,8 @@ func NewController(name string, home flit.ClusterID, remoteClusters int, cfg Con
 		partIdx:   make(map[partKey]int),
 		perDst:    make(map[flit.ClusterID]int),
 		perDstCap: cfg.CQEntries / remoteClusters,
-		trims:     make(map[uint64]*trimState),
+		trims:     make(map[*flit.Packet]trimState),
+		pool:      pool,
 	}
 }
 
@@ -203,7 +213,8 @@ func (c *Controller) tickIngress(now sim.Cycle) bool {
 		if len(in.Stitched) > 0 {
 			c.observe(EventUnstitch, now)
 		}
-		for _, item := range flit.Unstitch(in) {
+		c.flitBuf = c.pool.Unstitch(c.flitBuf[:0], in)
+		for _, item := range c.flitBuf {
 			item.Pkt.Span.To(obs.StageDstNet, now)
 			c.Local.Out.Push(item, now)
 		}
@@ -240,6 +251,10 @@ func (c *Controller) tickIntake(now sim.Cycle) bool {
 // intakeTrim handles a flit of a trim-eligible read response. It
 // reports true when the flit was consumed by the trim engine (the
 // caller must not enqueue it).
+//
+// The trimmed train carries a copy of the packet, because it can finish
+// reassembly, and be released, before the last original flit reaches
+// this controller: the original stays with the trim state until then.
 func (c *Controller) intakeTrim(f *flit.Flit, now sim.Cycle) bool {
 	p := f.Pkt
 	switch p.Type {
@@ -255,44 +270,43 @@ func (c *Controller) intakeTrim(f *flit.Flit, now sim.Cycle) bool {
 	if !p.TrimEligible {
 		return false
 	}
-	ts := c.trims[p.ID]
-	if ts == nil {
+	ts, ok := c.trims[p]
+	if !ok {
 		if p.Trimmed {
 			// Already trimmed upstream (e.g. sector-cache mode
 			// pre-trims at the home GPU); nothing to do here.
 			return false
 		}
-		origCount := p.FlitCount(f.Size)
 		g := p.TrimBytes
 		if g == 0 {
 			g = flit.SectorBytes
 		}
 		endByte := p.HeaderBytes() + (int(p.SectorOffset)+1)*g - 1
-		ts = &trimState{
-			pkt:        p,
-			releaseSeq: endByte / f.Size,
-			origCount:  origCount,
-		}
-		c.trims[p.ID] = ts
+		ts = trimState{releaseSeq: endByte / f.Size, origCount: p.FlitCount(f.Size)}
 	}
 	ts.seen++
-	if !ts.released && f.Seq >= ts.releaseSeq {
+	if !ts.sent && f.Seq >= ts.releaseSeq {
+		cp := c.pool.NewPacket(*p)
 		if p.Type == flit.WriteReq {
-			flit.TrimWriteRequest(p)
+			flit.TrimWriteRequest(cp)
 		} else {
-			flit.TrimResponse(p)
+			flit.TrimResponse(cp)
 		}
-		trimmed := flit.Segment(p, f.Size)
-		for _, tf := range trimmed {
+		c.flitBuf = c.pool.Segment(c.flitBuf[:0], cp, f.Size)
+		for _, tf := range c.flitBuf {
 			c.enqueue(tf, now)
 		}
 		c.Net.PacketsTrimmed.Inc()
-		c.Net.FlitsTrimmed.Add(int64(ts.origCount - len(trimmed)))
+		c.Net.FlitsTrimmed.Add(int64(ts.origCount - len(c.flitBuf)))
 		c.observe(EventTrim, now)
-		ts.released = true
+		ts.sent = true
 	}
+	c.pool.ReleaseFlit(f)
 	if ts.seen >= ts.origCount {
-		delete(c.trims, p.ID)
+		delete(c.trims, p)
+		c.pool.ReleasePacket(p)
+	} else {
+		c.trims[p] = ts
 	}
 	return true
 }
@@ -530,6 +544,7 @@ func (c *Controller) stitchInto(parent *flit.Flit, own *partition, now sim.Cycle
 		if p.pooledFlit != nil && p.pooledFlit != parent && flit.CanStitch(parent, p.pooledFlit) {
 			flit.Stitch(parent, p.pooledFlit)
 			c.perDst[p.pooledFlit.Pkt.DstCluster]--
+			c.pool.ReleaseFlit(p.pooledFlit)
 			p.pooledFlit = nil
 			count++
 			c.observe(EventStitch, now)
@@ -547,6 +562,7 @@ func (c *Controller) stitchInto(parent *flit.Flit, own *partition, now sim.Cycle
 				flit.Stitch(parent, cand)
 				p.q.RemoveAt(i)
 				c.perDst[cand.Pkt.DstCluster]--
+				c.pool.ReleaseFlit(cand)
 				count++
 				c.observe(EventStitch, now)
 				if parent.EmptyBytes() < smallestCandidateBytes {

@@ -15,14 +15,15 @@ func TestTrimGranularity4Bytes(t *testing.T) {
 	p.TrimEligible = true
 	p.SectorOffset = 2 // third 4-byte chunk
 	p.TrimBytes = 4
+	id := p.ID
 	h.inject(flit.Segment(p, 16)...)
 	h.run(200)
 	// 4B header + 4B payload = 8 bytes -> 1 flit instead of 5.
 	if len(h.out) != 1 {
 		t.Fatalf("4B-granularity trim produced %d flits, want 1", len(h.out))
 	}
-	if p.PayloadBytes() != 4 {
-		t.Fatalf("trimmed payload = %d, want 4", p.PayloadBytes())
+	if cp := h.out[0].Pkt; cp.ID != id || cp.PayloadBytes() != 4 {
+		t.Fatalf("trimmed copy of #%d: #%d with payload %d, want 4", id, cp.ID, cp.PayloadBytes())
 	}
 }
 
@@ -53,7 +54,7 @@ func TestClusterQueueBackpressure(t *testing.T) {
 	// Jam the remote side by not draining it: replace the drain with a
 	// fresh engine setup where Remote.Out is left alone.
 	e := sim.NewEngine()
-	ctl := NewController("jam", 0, 1, cfg)
+	ctl := NewController("jam", 0, 1, cfg, nil)
 	e.Register("ctl", ctl)
 	for i := 0; i < 12; i++ {
 		for _, f := range flitsOf(flit.ReadRsp, 1) {
@@ -138,7 +139,7 @@ func TestEightByteFlits(t *testing.T) {
 }
 
 func TestControllerStringer(t *testing.T) {
-	c := NewController("x", 1, 1, Baseline())
+	c := NewController("x", 1, 1, Baseline(), nil)
 	if c.String() == "" || c.Config().PoolingCycles != 32 {
 		t.Fatal("String/Config broken")
 	}
@@ -184,4 +185,69 @@ func TestPoolingIsLatencyNeutral(t *testing.T) {
 	if m128 > m0*1.1 {
 		t.Fatalf("pooling raised mean controller latency %.1f -> %.1f; not work-conserving", m0, m128)
 	}
+}
+
+// TestTrimCopyOutlivesTrimmedTrain covers the lifetime the trim engine
+// must get right with a pool attached: on a congested fabric the
+// trimmed train can finish reassembly at the requester, and be
+// released, before the trim engine has absorbed the last original flit.
+// The train therefore carries a copy of the packet; the original stays
+// with the trim state and is released only when its last flit is
+// absorbed, after the copy's storage may already have been reissued.
+func TestTrimCopyOutlivesTrimmedTrain(t *testing.T) {
+	pl := flit.NewPool()
+	cfg := Passthrough()
+	cfg.EnableTrim = true
+	h := newHarness(cfg)
+	h.ctl.pool = pl
+	p := pl.NewPacket(flit.Packet{ID: 1, Type: flit.ReadRsp, DstCluster: 1, TrimEligible: true})
+	orig := pl.Segment(nil, p, 16)
+	h.inject(orig[0], orig[1]) // flit 1 carries sector 0: the train goes
+	h.run(50)
+	if len(h.out) != 2 {
+		t.Fatalf("trimmed train has %d flits, want 2", len(h.out))
+	}
+	// The requester reassembles the train and releases it.
+	r := flit.NewReassembler()
+	var got *flit.Packet
+	for _, f := range h.out {
+		if r.Add(f.Pkt, f.Used) {
+			got = f.Pkt
+		}
+		pl.ReleaseFlit(f)
+	}
+	if got == nil || got == p || got.ID != 1 || !got.Trimmed {
+		t.Fatalf("train delivered %v, want a trimmed copy of the original", got)
+	}
+	pl.ReleasePacket(got)
+	// New traffic takes the released copy's storage before the rest of
+	// the original arrives.
+	next := pl.NewPacket(flit.Packet{ID: 2, Type: flit.WriteRsp, DstCluster: 1})
+	if next != got {
+		t.Fatal("pool did not reissue the released copy")
+	}
+	h.inject(orig[2], orig[3], orig[4])
+	h.run(50)
+	if len(h.out) != 2 || h.ctl.QueuedFlits() != 0 || len(h.ctl.trims) != 0 {
+		t.Fatalf("late original flits leaked: %d out, %d queued, %d trim states",
+			len(h.out), h.ctl.QueuedFlits(), len(h.ctl.trims))
+	}
+	if n := h.ctl.Net; n.PacketsTrimmed.Value() != 1 || n.FlitsTrimmed.Value() != 3 {
+		t.Fatalf("trim stats: %d packets, %d flits", n.PacketsTrimmed.Value(), n.FlitsTrimmed.Value())
+	}
+	if next.ID != 2 || next.Type != flit.WriteRsp {
+		t.Fatalf("reissued packet disturbed: %v", next)
+	}
+	// The original went back with its last flit: every flit the pool
+	// allocated is free again, and every packet but the reissued one.
+	ff, fp := pl.Free()
+	if af, ap := pl.Allocated(); ff != af || fp != ap-1 {
+		t.Fatalf("free lists hold %d of %d flits, %d of %d packets", ff, af, fp, ap)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("the original is still usable after its last flit was absorbed")
+		}
+	}()
+	pl.ReleasePacket(p)
 }

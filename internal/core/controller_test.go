@@ -19,7 +19,7 @@ type harness struct {
 func newHarness(cfg Config) *harness {
 	h := &harness{
 		e:   sim.NewEngine(),
-		ctl: NewController("ctl", 0, 1, cfg),
+		ctl: NewController("ctl", 0, 1, cfg, nil),
 	}
 	h.e.Register("ctl", h.ctl)
 	h.e.Register("drain", sim.TickerFunc(func(now sim.Cycle) bool {
@@ -146,14 +146,19 @@ func TestTrimEngineCutsResponse(t *testing.T) {
 	p := pkt(flit.ReadRsp, 1)
 	p.TrimEligible = true
 	p.SectorOffset = 0
+	id := p.ID
 	h.inject(flit.Segment(p, 16)...)
 	h.run(100)
 	// 68B response trims to 20B -> 2 flits instead of 5.
 	if len(h.out) != 2 {
 		t.Fatalf("ejected %d flits, want 2 after trimming", len(h.out))
 	}
-	if !p.Trimmed {
-		t.Fatal("packet not marked trimmed")
+	// The trimmed train carries a copy of the packet; the trim engine
+	// releases the original once it has absorbed every original flit.
+	for _, f := range h.out {
+		if cp := f.Pkt; cp == p || cp.ID != id || !cp.Trimmed {
+			t.Fatalf("trimmed flit carries %v, want a trimmed copy of #%d", cp, id)
+		}
 	}
 	if h.ctl.Net.FlitsTrimmed.Value() != 3 || h.ctl.Net.PacketsTrimmed.Value() != 1 {
 		t.Fatalf("trim stats: flits=%d pkts=%d",

@@ -26,6 +26,15 @@ type Flit struct {
 	// CtlArrivedAt is when the flit entered a NetCrafter controller's
 	// cluster queue (stats; set by the controller).
 	CtlArrivedAt sim.Cycle
+
+	pool     *Pool // issuer; a released flit goes back only to it
+	released bool
+}
+
+func (f *Flit) check() {
+	if f.released {
+		panic("flit: released flit touched")
+	}
 }
 
 // StitchItem is one candidate flit's content carried inside a parent
@@ -84,32 +93,10 @@ func (f *Flit) String() string {
 	return s + "]"
 }
 
-// Segment splits a packet into flits of the given size. The first flit
-// carries the header (and as much payload as fits); subsequent flits
-// carry payload; the final flit is padded up to the slot size.
+// Segment splits a packet into freshly allocated flits of the given
+// size; see Pool.Segment.
 func Segment(p *Packet, flitBytes int) []*Flit {
-	if flitBytes <= StitchMetaBytes {
-		panic(fmt.Sprintf("flit: flit size %d too small", flitBytes))
-	}
-	total := p.RequiredBytes()
-	n := p.FlitCount(flitBytes)
-	flits := make([]*Flit, 0, n)
-	remaining := total
-	for i := 0; i < n; i++ {
-		used := remaining
-		if used > flitBytes {
-			used = flitBytes
-		}
-		remaining -= used
-		flits = append(flits, &Flit{
-			Pkt:  p,
-			Seq:  i,
-			Used: used,
-			Last: i == n-1,
-			Size: flitBytes,
-		})
-	}
-	return flits
+	return (*Pool)(nil).Segment(nil, p, flitBytes)
 }
 
 // TrimResponse applies the Trim Engine transformation to a read
@@ -137,57 +124,34 @@ func TrimWriteRequest(p *Packet) bool {
 	return true
 }
 
-// Reassembler collects flits (including unstitched items) and reports
-// packets whose every byte has arrived. It is used by RDMA engines and
-// by the receiving-side NetCrafter controller.
+// Reassembler reports packets whose every byte has arrived. It counts
+// arrived bytes on each packet itself, so it keeps no per-packet record;
+// the RDMA engines use one each.
 type Reassembler struct {
-	pending map[uint64]*pendingPkt
-}
-
-type pendingPkt struct {
-	pkt   *Packet
-	got   int
-	total int
+	pending int
 }
 
 // NewReassembler returns an empty reassembler.
-func NewReassembler() *Reassembler {
-	return &Reassembler{pending: make(map[uint64]*pendingPkt)}
-}
+func NewReassembler() *Reassembler { return &Reassembler{} }
 
-// Add accounts for used bytes of packet p arriving. It returns the
-// packet when it has fully arrived, or nil.
-func (r *Reassembler) Add(p *Packet, used int) *Packet {
-	pp := r.pending[p.ID]
-	if pp == nil {
-		pp = &pendingPkt{pkt: p, total: p.RequiredBytes()}
-		r.pending[p.ID] = pp
+// Add accounts for used bytes of packet p arriving, from one of its
+// own flits or a stitched item. It reports whether p has fully arrived.
+func (r *Reassembler) Add(p *Packet, used int) bool {
+	p.check()
+	if p.arrived == 0 {
+		r.pending++
 	}
-	pp.got += used
-	if pp.got > pp.total {
-		panic(fmt.Sprintf("flit: packet %v over-received: %d of %d bytes", p, pp.got, pp.total))
+	p.arrived += used
+	total := p.RequiredBytes()
+	if p.arrived > total {
+		panic(fmt.Sprintf("flit: packet %v over-received: %d of %d bytes", p, p.arrived, total))
 	}
-	if pp.got == pp.total {
-		delete(r.pending, p.ID)
-		return pp.pkt
+	if p.arrived < total {
+		return false
 	}
-	return nil
-}
-
-// AddFlit accounts for a flit and everything stitched inside it,
-// returning all packets completed by it (in arrival order).
-func (r *Reassembler) AddFlit(f *Flit) []*Packet {
-	var done []*Packet
-	if p := r.Add(f.Pkt, f.Used); p != nil {
-		done = append(done, p)
-	}
-	for _, it := range f.Stitched {
-		if p := r.Add(it.Pkt, it.Used); p != nil {
-			done = append(done, p)
-		}
-	}
-	return done
+	r.pending--
+	return true
 }
 
 // Pending returns the number of partially received packets.
-func (r *Reassembler) Pending() int { return len(r.pending) }
+func (r *Reassembler) Pending() int { return r.pending }

@@ -24,7 +24,7 @@ func FuzzSegmentReassemble(f *testing.F) {
 				t.Fatalf("flit used %d of %d", fr.Used, flitBytes)
 			}
 			total += fr.Used
-			for _, d := range r.AddFlit(fr) {
+			for _, d := range addFlit(r, fr) {
 				done = d
 			}
 		}
@@ -60,7 +60,7 @@ func FuzzStitchUnstitch(f *testing.F) {
 				t.Fatalf("parent overflows: %d > %d", parent.OccupiedBytes(), parent.Size)
 			}
 		}
-		out := Unstitch(parent)
+		out := NewPool().Unstitch(nil, parent)
 		if len(out) != stitched {
 			t.Fatalf("unstitched %d of %d", len(out), stitched)
 		}

@@ -8,6 +8,9 @@
 // request-side types carrying an address, 4 bytes for responses) plus a
 // payload (64-byte cache line for ReadRsp/WriteReq, 8-byte physical
 // address for PTRsp, none otherwise).
+//
+// In a cycle run every flit and packet is issued by, and released back
+// to, its engine shard's Pool; see Pool for the ownership rules.
 package flit
 
 import (
@@ -150,6 +153,16 @@ type Packet struct {
 	// response, so completion needs no side lookup table and
 	// TraceID/Span propagation is structural. The wire does not see it.
 	Txn *txn.Transaction
+
+	pool     *Pool // issuer; a released packet goes back only to it
+	arrived  int   // bytes reassembled so far (Reassembler)
+	released bool
+}
+
+func (p *Packet) check() {
+	if p.released {
+		panic("flit: released packet touched")
+	}
 }
 
 // headerBytes returns the header size for a packet of type t. Requests

@@ -133,7 +133,7 @@ func TestSegmentReassembleProperty(t *testing.T) {
 		r := NewReassembler()
 		var done *Packet
 		for _, fr := range fl {
-			for _, d := range r.AddFlit(fr) {
+			for _, d := range addFlit(r, fr) {
 				if done != nil {
 					return false // completed twice
 				}
@@ -154,8 +154,8 @@ func TestReassemblerInterleavedPackets(t *testing.T) {
 	r := NewReassembler()
 	var done []*Packet
 	for i := 0; i < 5; i++ {
-		done = append(done, r.AddFlit(fa[i])...)
-		done = append(done, r.AddFlit(fb[i])...)
+		done = append(done, addFlit(r, fa[i])...)
+		done = append(done, addFlit(r, fb[i])...)
 	}
 	if len(done) != 2 || done[0] != a || done[1] != b {
 		t.Fatalf("interleaved reassembly got %v", done)

@@ -16,6 +16,8 @@ package flit
 
 // CanStitch reports whether cand can be stitched into parent.
 func CanStitch(parent, cand *Flit) bool {
+	parent.check()
+	cand.check()
 	if parent == cand {
 		return false
 	}
@@ -48,27 +50,6 @@ func Stitch(parent, cand *Flit) {
 		Last:    cand.Last,
 		Partial: !cand.IsWholePacket(),
 	})
-}
-
-// Unstitch extracts the stitched items of f as standalone flits (in
-// stitch order) and clears them from f. The receiving-side controller
-// uses this before forwarding flits into the destination cluster.
-func Unstitch(f *Flit) []*Flit {
-	if len(f.Stitched) == 0 {
-		return nil
-	}
-	out := make([]*Flit, 0, len(f.Stitched))
-	for _, it := range f.Stitched {
-		out = append(out, &Flit{
-			Pkt:  it.Pkt,
-			Seq:  it.Seq,
-			Used: it.Used,
-			Last: it.Last,
-			Size: f.Size,
-		})
-	}
-	f.Stitched = nil
-	return out
 }
 
 // OccupancyClass buckets a flit by its padding fraction, reproducing the

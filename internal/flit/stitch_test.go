@@ -124,7 +124,7 @@ func TestUnstitchRoundTrip(t *testing.T) {
 	whole := mkFlits(WriteRsp, 3, 0)[0]
 	Stitch(parent, tail)
 	Stitch(parent, whole)
-	out := Unstitch(parent)
+	out := NewPool().Unstitch(nil, parent)
 	if len(out) != 2 {
 		t.Fatalf("unstitched %d items, want 2", len(out))
 	}
@@ -137,7 +137,7 @@ func TestUnstitchRoundTrip(t *testing.T) {
 	if out[1].Pkt.ID != 3 || !out[1].IsWholePacket() {
 		t.Fatalf("second unstitched item wrong: %+v", out[1])
 	}
-	if Unstitch(parent) != nil {
+	if NewPool().Unstitch(nil, parent) != nil {
 		t.Fatal("Unstitch on plain flit returned items")
 	}
 }
@@ -162,7 +162,7 @@ func TestStitchConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		out := Unstitch(parent)
+		out := NewPool().Unstitch(nil, parent)
 		if len(out) != len(want) {
 			return false
 		}

@@ -43,7 +43,7 @@ func TestTraceIDSurvivesStitchRoundTrip(t *testing.T) {
 		}
 	}
 
-	out := Unstitch(parent)
+	out := NewPool().Unstitch(nil, parent)
 	if len(out) != 2 {
 		t.Fatalf("unstitched %d flits, want 2", len(out))
 	}
@@ -62,7 +62,7 @@ func TestTraceIDSurvivesStitchRoundTrip(t *testing.T) {
 	r := NewReassembler()
 	var got *Packet
 	for _, f := range append(partialFlits[:len(partialFlits)-1], out[1]) {
-		for _, p := range r.AddFlit(f) {
+		for _, p := range addFlit(r, f) {
 			got = p
 		}
 	}
@@ -105,7 +105,7 @@ func TestStitchRoundTripPreservesTrace(t *testing.T) {
 		Stitch(parent, cand)
 	}
 
-	out := Unstitch(parent)
+	out := NewPool().Unstitch(nil, parent)
 	if len(out) != 2 {
 		t.Fatalf("unstitched %d flits, want 2", len(out))
 	}

@@ -3,6 +3,7 @@ package gpu
 import (
 	"fmt"
 
+	"netcrafter/internal/flit"
 	"netcrafter/internal/obs"
 	"netcrafter/internal/sim"
 	"netcrafter/internal/txn"
@@ -44,8 +45,9 @@ type GPU struct {
 // New builds a GPU. The page table is shared system-wide; the topology
 // tells the GPU where physical addresses live. tbl is the transaction
 // table the GPU acquires from (shared per cluster); nil creates a
-// private one.
-func New(id int, cfg Config, topo Topology, pt *vm.PageTable, tbl *txn.Table, sched *sim.Scheduler) *GPU {
+// private one. sched and pool are the owning shard's scheduler and flit
+// and packet free list; a nil pool allocates every flit and packet.
+func New(id int, cfg Config, topo Topology, pt *vm.PageTable, tbl *txn.Table, sched *sim.Scheduler, pool *flit.Pool) *GPU {
 	cfg = cfg.WithDefaults()
 	g := &GPU{
 		ID:    id,
@@ -59,7 +61,7 @@ func New(id int, cfg Config, topo Topology, pt *vm.PageTable, tbl *txn.Table, sc
 	}
 	g.table = tbl
 	g.Mem = NewMemPartition(g.Name+".mem", id, cfg, tbl, sched)
-	g.RDMA = NewRDMA(g.Name+".rdma", id, topo, g.Mem, cfg, tbl, sched)
+	g.RDMA = NewRDMA(g.Name+".rdma", id, topo, g.Mem, cfg, tbl, sched, pool)
 	g.GMMU = vm.NewGMMU(g.Name+".gmmu", cfg.GMMU, pt, &pteRouter{g: g}, sched)
 	g.L2TLB = vm.NewTLB(g.Name+".l2tlb", cfg.L2TLB, g.GMMU, sched)
 	for i := 0; i < cfg.NumCUs; i++ {

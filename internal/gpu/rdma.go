@@ -54,12 +54,19 @@ type RDMA struct {
 	// requests.
 	table *txn.Table
 	sched *sim.Scheduler
-	cfg   Config
+	// pool is the shard's flit and packet free list: packets and flits
+	// this engine creates come from it, and every flit it reassembles,
+	// every request it has answered and every response it has dispatched
+	// go back to it.
+	pool *flit.Pool
+	cfg  Config
 
 	// Port connects to the cluster switch via a link.
 	Port  *network.Port
 	sendQ *sim.Queue[*flit.Flit]
 	reasm *flit.Reassembler
+	// segBuf is the reused slice a packet is segmented into.
+	segBuf []*flit.Flit
 
 	nextID uint64
 	// pendingReads/pendingPTEs count in-flight remote requests; the
@@ -78,8 +85,8 @@ type RDMA struct {
 }
 
 // NewRDMA builds the engine. The port buffer is sized like a switch
-// buffer.
-func NewRDMA(name string, gpuID int, topo Topology, mem *MemPartition, cfg Config, tbl *txn.Table, sched *sim.Scheduler) *RDMA {
+// buffer. pool may be nil (every flit and packet freshly allocated).
+func NewRDMA(name string, gpuID int, topo Topology, mem *MemPartition, cfg Config, tbl *txn.Table, sched *sim.Scheduler, pool *flit.Pool) *RDMA {
 	r := &RDMA{
 		Name:  name,
 		gpuID: gpuID,
@@ -88,6 +95,7 @@ func NewRDMA(name string, gpuID int, topo Topology, mem *MemPartition, cfg Confi
 		mem:   mem,
 		table: tbl,
 		sched: sched,
+		pool:  pool,
 		cfg:   cfg,
 		Port:  network.NewPort(name+".port", 1024),
 		sendQ: sim.NewQueue[*flit.Flit](0, 1),
@@ -108,7 +116,7 @@ func (r *RDMA) PendingReads() int { return r.pendingReads + r.pendingPTEs }
 
 func (r *RDMA) newPacket(t flit.Type, dst flit.DeviceID, dstGPU int, addr uint64, now sim.Cycle) *flit.Packet {
 	r.nextID++
-	p := &flit.Packet{
+	p := r.pool.NewPacket(flit.Packet{
 		ID:         uint64(r.gpuID)<<48 | r.nextID,
 		Type:       t,
 		Src:        r.dev,
@@ -117,14 +125,15 @@ func (r *RDMA) newPacket(t flit.Type, dst flit.DeviceID, dstGPU int, addr uint64
 		DstCluster: r.topo.ClusterOf(dstGPU),
 		Addr:       addr,
 		CreatedAt:  now,
-	}
+	})
 	p.TraceID = p.ID
 	p.Span = r.Spans.Start(p.ID, p.TraceID, t.String(), int(r.dev), int(dst), now)
 	return p
 }
 
 func (r *RDMA) send(p *flit.Packet, now sim.Cycle) {
-	for _, f := range flit.Segment(p, r.cfg.FlitBytes) {
+	r.segBuf = r.pool.Segment(r.segBuf[:0], p, r.cfg.FlitBytes)
+	for _, f := range r.segBuf {
 		r.sendQ.Push(f, now)
 	}
 }
@@ -190,11 +199,15 @@ func (r *RDMA) OnComplete(t *txn.Transaction, f txn.Frame, at sim.Cycle) {
 		r.finishServeRead(t, f.Ref.(*flit.Packet), at)
 	case rdmaRoleServeWrite:
 		req := f.Ref.(*flit.Packet)
-		r.send(r.newResponse(flit.WriteRsp, req, at), at)
+		rsp := r.newResponse(flit.WriteRsp, req, at)
+		r.pool.ReleasePacket(req)
+		r.send(rsp, at)
 		t.Release()
 	case rdmaRoleServePTE:
 		req := f.Ref.(*flit.Packet)
-		r.send(r.newResponse(flit.PTRsp, req, at), at)
+		rsp := r.newResponse(flit.PTRsp, req, at)
+		r.pool.ReleasePacket(req)
+		r.send(rsp, at)
 		t.Release()
 	}
 }
@@ -302,9 +315,11 @@ func (r *RDMA) Tick(now sim.Cycle) bool {
 		// The first flit of a packet moves its span into the reassembly
 		// stage; repeat stamps for later flits accumulate there too.
 		f.Pkt.Span.To(obs.StageReassemble, now)
-		for _, p := range r.reasm.AddFlit(f) {
-			r.dispatch(p, now)
+		r.arrive(f.Pkt, f.Used, now)
+		for _, it := range f.Stitched {
+			r.arrive(it.Pkt, it.Used, now)
 		}
+		r.pool.ReleaseFlit(f)
 	}
 	for {
 		f, ok := r.sendQ.Peek(now)
@@ -337,42 +352,47 @@ func (r *RDMA) NextWake(now sim.Cycle) sim.Cycle {
 	return b
 }
 
+// arrive accounts for used bytes of p and dispatches p once all of it
+// has arrived.
+func (r *RDMA) arrive(p *flit.Packet, used int, now sim.Cycle) {
+	if r.reasm.Add(p, used) {
+		r.dispatch(p, now)
+	}
+}
+
+// dispatch acts on a fully arrived packet. A request is served under a
+// serve transaction that holds it until the response is built; a
+// response hands its transaction back to the requester and is released
+// here.
 func (r *RDMA) dispatch(p *flit.Packet, now sim.Cycle) {
 	switch p.Type {
 	case flit.ReadReq:
 		p.Span.To(obs.StageMem, now)
 		r.serveRead(p, now)
+		return
 	case flit.WriteReq:
 		p.Span.To(obs.StageMem, now)
 		r.serveWrite(p, now)
+		return
 	case flit.PTReq:
 		p.Span.To(obs.StageMem, now)
 		r.servePTE(p, now)
+		return
+	}
+	p.Span.End(now)
+	t := p.Txn
+	if t == nil {
+		panic(fmt.Sprintf("gpu: %s got %s without a transaction (%s)", r.Name, p.Type, p))
+	}
+	switch p.Type {
 	case flit.ReadRsp:
-		p.Span.End(now)
-		t := p.Txn
-		if t == nil {
-			panic(fmt.Sprintf("gpu: %s got ReadRsp without a transaction (%s)", r.Name, p))
-		}
 		r.pendingReads--
 		t.Trimmed = p.Trimmed
-		t.Complete(now)
-	case flit.WriteRsp:
-		p.Span.End(now)
-		t := p.Txn
-		if t == nil {
-			panic(fmt.Sprintf("gpu: %s got WriteRsp without a transaction (%s)", r.Name, p))
-		}
-		t.Complete(now)
 	case flit.PTRsp:
-		p.Span.End(now)
-		t := p.Txn
-		if t == nil {
-			panic(fmt.Sprintf("gpu: %s got PTRsp without a transaction (%s)", r.Name, p))
-		}
 		r.pendingPTEs--
-		t.Complete(now)
 	}
+	r.pool.ReleasePacket(p)
+	t.Complete(now)
 }
 
 // newResponse builds a response packet routed back to the requester.
@@ -382,7 +402,7 @@ func (r *RDMA) dispatch(p *flit.Packet, now sim.Cycle) {
 // together. The requester's transaction rides along on the response.
 func (r *RDMA) newResponse(t flit.Type, req *flit.Packet, now sim.Cycle) *flit.Packet {
 	r.nextID++
-	p := &flit.Packet{
+	p := r.pool.NewPacket(flit.Packet{
 		ID:         uint64(r.gpuID)<<48 | r.nextID,
 		Type:       t,
 		Src:        r.dev,
@@ -392,7 +412,7 @@ func (r *RDMA) newResponse(t flit.Type, req *flit.Packet, now sim.Cycle) *flit.P
 		Addr:       req.Addr,
 		CreatedAt:  now,
 		Txn:        req.Txn,
-	}
+	})
 	p.TraceID = req.TraceID
 	req.Span.End(now)
 	p.Span = r.Spans.Start(p.ID, p.TraceID, t.String(), int(r.dev), int(req.Src), now)
@@ -433,6 +453,7 @@ func (r *RDMA) finishServeRead(s *txn.Transaction, req *flit.Packet, at sim.Cycl
 		rsp.Trimmed = true
 		rsp.TrimBytes = (last - first + 1) * g
 	}
+	r.pool.ReleasePacket(req)
 	r.send(rsp, at)
 	s.Release()
 }

@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // Scheduler runs callbacks at future cycles. Components use it to model
 // fixed latencies (cache lookups, TLB probes, DRAM access time) without
 // each keeping its own timing wheel.
@@ -43,13 +41,48 @@ const (
 	ringMask = ringSize - 1
 )
 
+// cycleHeap is a binary min-heap of cycles. It sifts typed values
+// itself: container/heap's any-typed Push and Pop box every cycle of
+// 256 or more, one allocation per distinct deadline.
 type cycleHeap []Cycle
 
-func (h cycleHeap) Len() int           { return len(h) }
-func (h cycleHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h cycleHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *cycleHeap) Push(x any)        { *h = append(*h, x.(Cycle)) }
-func (h *cycleHeap) Pop() any          { old := *h; n := len(old); c := old[n-1]; *h = old[:n-1]; return c }
+func (h *cycleHeap) push(c Cycle) {
+	*h = append(*h, c)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p] <= q[i] {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+}
+
+func (h *cycleHeap) pop() Cycle {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && q[r] < q[l] {
+			m = r
+		}
+		if q[i] <= q[m] {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
+}
 
 // NewScheduler returns an empty scheduler; register it with the engine.
 func NewScheduler() *Scheduler {
@@ -76,14 +109,14 @@ func (s *Scheduler) At(at Cycle, fn func(now Cycle)) {
 			// First entry for this cycle: publish it to the heap,
 			// unless an overflow bucket already did.
 			if len(s.far) == 0 || s.far[at] == nil {
-				heap.Push(&s.keys, at)
+				s.keys.push(at)
 			}
 		}
 		s.ring[i] = append(s.ring[i], fn)
 	} else {
 		b := s.far[at]
 		if b == nil {
-			heap.Push(&s.keys, at)
+			s.keys.push(at)
 		}
 		s.far[at] = append(b, fn)
 	}
@@ -115,7 +148,7 @@ func (s *Scheduler) After(now, delay Cycle, fn func(now Cycle)) {
 func (s *Scheduler) Tick(now Cycle) bool {
 	busy := false
 	for len(s.keys) > 0 && s.keys[0] <= now {
-		at := heap.Pop(&s.keys).(Cycle)
+		at := s.keys.pop()
 		// An overflow bucket for this cycle predates any ring entries
 		// (the window only moves forward), so it fires first.
 		// Callbacks may schedule more work for this same cycle while

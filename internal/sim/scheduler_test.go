@@ -156,3 +156,31 @@ func TestQueueInterleavedRemoveAt(t *testing.T) {
 		t.Fatalf("drained %d of 200", len(seen))
 	}
 }
+
+// TestSchedulerLateCyclesNoAllocs pins the steady-state claim for
+// cycles of 256 and more, the values an interface conversion would box:
+// scheduling and draining events inside the ring window allocates
+// nothing once the bucket free list and the heap are warm.
+func TestSchedulerLateCyclesNoAllocs(t *testing.T) {
+	s := NewScheduler()
+	e := NewEngine()
+	e.Register("s", s)
+	nop := func(Cycle) {}
+	step := func() {
+		now := e.Now()
+		for j := 0; j < 16; j++ {
+			s.After(now, Cycle(1+j%4*25), nop)
+		}
+		e.Step()
+	}
+	e.Run(1000)
+	for i := 0; i < 2*ringSize; i++ {
+		step()
+	}
+	if e.Now() < 256 {
+		t.Fatalf("clock %d never reached the boxed range", e.Now())
+	}
+	if n := testing.AllocsPerRun(200, step); n != 0 {
+		t.Fatalf("scheduler steady state: %v allocs per step, want 0", n)
+	}
+}

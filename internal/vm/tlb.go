@@ -17,11 +17,14 @@ type Translator interface {
 	Translate(t *txn.Transaction, now sim.Cycle) bool
 }
 
-// tlbArray is the associative storage of a TLB.
+// tlbArray is the associative storage of a TLB: one flat, set-major
+// entry slice, allocated by the first insert. Before that every lookup
+// misses, exactly as in an empty array.
 type tlbArray struct {
-	sets [][]tlbEntry
-	ways int
-	tick uint64
+	entries []tlbEntry // nSets*ways entries, nil until the first insert
+	nSets   uint64
+	ways    int
+	tick    uint64
 }
 
 type tlbEntry struct {
@@ -35,15 +38,17 @@ func newTLBArray(entries, ways int) *tlbArray {
 	if ways <= 0 || entries%ways != 0 {
 		panic("vm: TLB entries must divide evenly into ways")
 	}
-	sets := make([][]tlbEntry, entries/ways)
-	for i := range sets {
-		sets[i] = make([]tlbEntry, ways)
-	}
-	return &tlbArray{sets: sets, ways: ways}
+	return &tlbArray{nSets: uint64(entries / ways), ways: ways}
 }
 
+// set returns the set holding vpn (empty before the first insert).
 func (a *tlbArray) set(vpn uint64) []tlbEntry {
-	return a.sets[vpn%uint64(len(a.sets))]
+	if a.entries == nil {
+		return nil
+	}
+	w := uint64(a.ways)
+	i := vpn % a.nSets * w
+	return a.entries[i : i+w : i+w]
 }
 
 func (a *tlbArray) lookup(vpn uint64) (uint64, bool) {
@@ -60,6 +65,9 @@ func (a *tlbArray) lookup(vpn uint64) (uint64, bool) {
 
 func (a *tlbArray) insert(vpn, base uint64) {
 	a.tick++
+	if a.entries == nil {
+		a.entries = make([]tlbEntry, a.nSets*uint64(a.ways))
+	}
 	set := a.set(vpn)
 	victim := 0
 	for i := range set {
@@ -77,13 +85,7 @@ func (a *tlbArray) insert(vpn, base uint64) {
 	set[victim] = tlbEntry{vpn: vpn, base: base, valid: true, last: a.tick}
 }
 
-func (a *tlbArray) invalidateAll() {
-	for si := range a.sets {
-		for wi := range a.sets[si] {
-			a.sets[si][wi] = tlbEntry{}
-		}
-	}
-}
+func (a *tlbArray) invalidateAll() { clear(a.entries) }
 
 // TLBConfig describes one TLB level.
 type TLBConfig struct {

@@ -375,3 +375,32 @@ func TestTLBStallWhenMSHRFull(t *testing.T) {
 		t.Fatal("stall not counted")
 	}
 }
+
+// TestUnfilledTLBMatchesEmpty pins storage at first fill for the TLB
+// array: before the first insert it holds no entries, every lookup
+// misses as in an allocated empty array, and invalidation keeps it
+// unallocated.
+func TestUnfilledTLBMatchesEmpty(t *testing.T) {
+	for _, cfg := range []TLBConfig{L1TLBConfig(), L2TLBConfig()} {
+		lazy, empty := newTLBArray(cfg.Entries, cfg.Ways), newTLBArray(cfg.Entries, cfg.Ways)
+		empty.entries = make([]tlbEntry, cfg.Entries)
+		for vpn := uint64(0); vpn < 3*uint64(cfg.Entries); vpn += 7 {
+			lb, lok := lazy.lookup(vpn)
+			eb, eok := empty.lookup(vpn)
+			if lb != eb || lok != eok {
+				t.Fatalf("lookup(%d) = %d,%v unfilled, %d,%v empty", vpn, lb, lok, eb, eok)
+			}
+		}
+		lazy.invalidateAll()
+		if lazy.entries != nil || lazy.tick != empty.tick {
+			t.Fatalf("unfilled array: %d entries, tick %d (empty tick %d)", len(lazy.entries), lazy.tick, empty.tick)
+		}
+		lazy.insert(5, 0x5000)
+		if len(lazy.entries) != cfg.Entries {
+			t.Fatalf("first insert allocated %d entries, want %d", len(lazy.entries), cfg.Entries)
+		}
+		if base, ok := lazy.lookup(5); !ok || base != 0x5000 {
+			t.Fatalf("lookup after first insert = %#x,%v", base, ok)
+		}
+	}
+}
