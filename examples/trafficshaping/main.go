@@ -20,7 +20,8 @@ import (
 // otherwise arrivals are spaced a few cycles apart.
 func drive(cfg core.Config, pkts []*flit.Packet, burst bool) []*flit.Flit {
 	eng := sim.NewEngine()
-	ctl := core.NewController("demo", 0, 1, cfg, nil)
+	pool := flit.NewPool()
+	ctl := core.NewController("demo", 0, 1, cfg, pool)
 	eng.Register("ctl", ctl)
 	var out []*flit.Flit
 	eng.Register("drain", sim.TickerFunc(func(now sim.Cycle) bool {
@@ -36,7 +37,7 @@ func drive(cfg core.Config, pkts []*flit.Packet, burst bool) []*flit.Flit {
 		return busy
 	}))
 	for _, p := range pkts {
-		for _, f := range flit.Segment(p, cfg.FlitBytes) {
+		for _, f := range pool.Segment(nil, p, cfg.FlitBytes) {
 			ctl.Local.In.Push(f, eng.Now())
 		}
 		if !burst {

@@ -1,20 +1,38 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 
 	"netcrafter/internal/comm"
+	"netcrafter/internal/flit"
+	"netcrafter/internal/lasp"
+	"netcrafter/internal/sim"
 	"netcrafter/internal/topo"
 	"netcrafter/internal/workload"
 )
 
+// freeIssuers returns, for every flit and packet on pl's free lists,
+// the pool that issued it. Pool exposes neither its free lists nor an
+// object's issuer, so they are read by field name.
+func freeIssuers(pl *flit.Pool) []uintptr {
+	v := reflect.ValueOf(pl).Elem()
+	var out []uintptr
+	for _, list := range []string{"flits", "packets"} {
+		l := v.FieldByName(list)
+		for i := 0; i < l.Len(); i++ {
+			out = append(out, l.Index(i).Elem().FieldByName("pool").Pointer())
+		}
+	}
+	return out
+}
+
 // TestShardPoolsKeepOnlyTheirOwn runs GUPS on two shards, where about
 // half the traffic crosses the shard boundary and is released by the
-// shard that did not issue it. A pool allocates only when its free list
-// is empty, so its allocation count is the peak of its own objects in
-// flight; a free list longer than that would hold flits or packets
-// another shard issued. The run's pools are read before RunWorkload
-// would empty them, then checked empty after it does.
+// shard that did not issue it. The run is driven through the
+// coordinator, so the pools are read before a run would empty them:
+// each must have taken back its own traffic and nothing else, so no
+// free list can outgrow its shard's own peak in flight.
 func TestShardPoolsKeepOnlyTheirOwn(t *testing.T) {
 	g, err := topo.Preset("frontier-4x2")
 	if err != nil {
@@ -27,30 +45,31 @@ func TestShardPoolsKeepOnlyTheirOwn(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := mustBuild(t, cfg)
-	if _, err := sys.runWorkload(spec, testLimit); err != nil {
+	sys.Load(spec)
+	k := spec.Kernels[0]
+	placement := lasp.ScheduleCTAs(k, sys.cfg.GPUs)
+	for cta := 0; cta < k.CTAs; cta++ {
+		for w := 0; w < k.WavesPerCTA; w++ {
+			rng := sim.NewRand(waveSeed(sys.cfg.Seed, 0, cta, w))
+			sys.GPUs[placement[cta]].EnqueueWave(k.NewProgram(cta, w, rng), 0)
+		}
+	}
+	if _, err := sys.coord.RunUntil(sys.idleFns, testLimit); err != nil {
 		t.Fatal(err)
 	}
 	if len(sys.pools) != 2 {
 		t.Fatalf("%d pools for 2 shards", len(sys.pools))
 	}
 	for i, pl := range sys.pools {
-		ff, fp := pl.Free()
-		af, ap := pl.Allocated()
-		if af == 0 || ap == 0 {
-			t.Fatalf("shard %d pool issued nothing (%d flits, %d packets)", i, af, ap)
+		own := reflect.ValueOf(pl).Pointer()
+		free := freeIssuers(pl)
+		if len(free) == 0 {
+			t.Errorf("shard %d got nothing back", i)
 		}
-		if ff > af || fp > ap {
-			t.Errorf("shard %d free lists hold %d flits, %d packets; its own peak in flight is %d, %d",
-				i, ff, fp, af, ap)
-		}
-		if ff == 0 {
-			t.Errorf("shard %d got no flit back", i)
-		}
-	}
-	sys.emptyPools()
-	for i, pl := range sys.pools {
-		if ff, fp := pl.Free(); ff != 0 || fp != 0 {
-			t.Errorf("shard %d pool still holds %d flits, %d packets after emptying", i, ff, fp)
+		for _, issuer := range free {
+			if issuer != own {
+				t.Fatalf("shard %d free lists hold an object another pool issued", i)
+			}
 		}
 	}
 }
@@ -67,14 +86,14 @@ func TestRunsEmptyTheirPools(t *testing.T) {
 	if _, err := sys.RunWorkload(spec, testLimit); err != nil {
 		t.Fatal(err)
 	}
-	if ff, fp := sys.pools[0].Free(); ff != 0 || fp != 0 {
-		t.Fatalf("RunWorkload left %d flits, %d packets on the free lists", ff, fp)
+	if n := len(freeIssuers(sys.pools[0])); n != 0 {
+		t.Fatalf("RunWorkload left %d flits and packets on the free lists", n)
 	}
 	if _, err := sys.RunCommByName("ring-allreduce", comm.Tiny(), comm.Options{}, testLimit); err != nil {
 		t.Fatal(err)
 	}
-	if ff, fp := sys.pools[0].Free(); ff != 0 || fp != 0 {
-		t.Fatalf("RunComm left %d flits, %d packets on the free lists", ff, fp)
+	if n := len(freeIssuers(sys.pools[0])); n != 0 {
+		t.Fatalf("RunComm left %d flits and packets on the free lists", n)
 	}
 }
 

@@ -114,19 +114,6 @@ func waveSeed(seed uint64, kernel, cta, wave int) uint64 {
 // result or an error if the cycle limit is exceeded.
 func (s *System) RunWorkload(spec *workload.Spec, limit sim.Cycle) (*Result, error) {
 	defer s.emptyPools()
-	return s.runWorkload(spec, limit)
-}
-
-// emptyPools drops every shard's flit and packet free lists. A run
-// leaves them holding its peak in-flight population, which would stay
-// live with the system after the run returns.
-func (s *System) emptyPools() {
-	for _, pl := range s.pools {
-		pl.Empty()
-	}
-}
-
-func (s *System) runWorkload(spec *workload.Spec, limit sim.Cycle) (*Result, error) {
 	if s.Shards() > 1 && (s.obsReg != nil || s.obsTL != nil || s.obsSpans) {
 		return nil, fmt.Errorf("cluster: observability sinks (metrics, spans, timeline) are shared across components and need the serial engine: run with Shards <= 1")
 	}
@@ -153,6 +140,15 @@ func (s *System) runWorkload(spec *workload.Spec, limit sim.Cycle) (*Result, err
 	r.Wall = s.coord.Wall() - wallStart
 	r.Components = s.profile()
 	return r, nil
+}
+
+// emptyPools drops every shard's flit and packet free lists. A run
+// leaves them holding its peak in-flight population, which would stay
+// live with the system after the run returns.
+func (s *System) emptyPools() {
+	for _, pl := range s.pools {
+		pl.Empty()
+	}
 }
 
 func (s *System) collect(name string, cycles sim.Cycle) *Result {

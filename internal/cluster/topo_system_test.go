@@ -44,6 +44,7 @@ func legacyNew(cfg Config) *System {
 		alloc:     &frameAlloc{next: make([]uint64, cfg.GPUs)},
 		rng:       sim.NewRand(cfg.Seed),
 		coord:     shard.NewCoordinator([]*sim.Engine{eng}),
+		pools:     []*flit.Pool{flit.NewPool()},
 	}
 	s.idleFns = []func() bool{s.AllIdle}
 	s.Engine.Register("sched", sched)
@@ -59,7 +60,7 @@ func legacyNew(cfg Config) *System {
 	gpuPort := make([]int32, cfg.GPUs) // each GPU's port on its cluster switch
 
 	for g := 0; g < cfg.GPUs; g++ {
-		s.GPUs = append(s.GPUs, gpu.New(g, cfg.GPU, tp, s.PT, nil, sched, nil))
+		s.GPUs = append(s.GPUs, gpu.New(g, cfg.GPU, tp, s.PT, nil, sched, s.pools[0]))
 	}
 
 	for c := 0; c < nClusters; c++ {
@@ -79,7 +80,7 @@ func legacyNew(cfg Config) *System {
 	ncCfg.FlitBytes = flitBytes
 	ncCfg.EjectRate = interRate
 	for c := 0; c < nClusters; c++ {
-		ctl := core.NewController(fmt.Sprintf("nc%d", c), flit.ClusterID(c), nClusters-1, ncCfg, nil)
+		ctl := core.NewController(fmt.Sprintf("nc%d", c), flit.ClusterID(c), nClusters-1, ncCfg, s.pools[0])
 		s.Controllers = append(s.Controllers, ctl)
 		sw := switches[c]
 		pIdx := sw.AddPort(network.NewPort(fmt.Sprintf("sw%d.nc", c), cfg.Switch.BufferEntries))

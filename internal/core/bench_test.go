@@ -43,7 +43,6 @@ func controllerBatch(pl *flit.Pool) (first, second []*flit.Flit) {
 type drainSink struct {
 	ctl  *Controller
 	pool *flit.Pool
-	r    *flit.Reassembler
 }
 
 func (d drainSink) Tick(now sim.Cycle) bool {
@@ -63,7 +62,7 @@ func (d drainSink) Tick(now sim.Cycle) bool {
 }
 
 func (d drainSink) arrive(p *flit.Packet, used int) {
-	if d.r.Add(p, used) {
+	if p.Arrive(used) {
 		d.pool.ReleasePacket(p)
 	}
 }
@@ -79,7 +78,7 @@ func BenchmarkController(b *testing.B) {
 	ctl := NewController("nc", 0, 1, Baseline(), pl)
 	e := sim.NewEngine()
 	e.Register("nc", ctl)
-	e.Register("drain", drainSink{ctl, pl, flit.NewReassembler()})
+	e.Register("drain", drainSink{ctl, pl})
 	drained := func() bool {
 		return ctl.Local.In.Len() == 0 && ctl.QueuedFlits() == 0 && ctl.Remote.Out.Len() == 0
 	}

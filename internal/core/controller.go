@@ -160,7 +160,7 @@ func (c *Controller) observe(e WireEvent, now sim.Cycle) {
 // NewController creates a controller for cluster home. remoteClusters
 // is how many other clusters exist (the cluster queue is partitioned
 // equally among them). pool is the owning shard's flit and packet free
-// list; nil allocates every flit and packet.
+// list.
 func NewController(name string, home flit.ClusterID, remoteClusters int, cfg Config, pool *flit.Pool) *Controller {
 	cfg = cfg.withDefaults()
 	if remoteClusters < 1 {

@@ -16,7 +16,7 @@ func TestTrimGranularity4Bytes(t *testing.T) {
 	p.SectorOffset = 2 // third 4-byte chunk
 	p.TrimBytes = 4
 	id := p.ID
-	h.inject(flit.Segment(p, 16)...)
+	h.inject(segment(p, 16)...)
 	h.run(200)
 	// 4B header + 4B payload = 8 bytes -> 1 flit instead of 5.
 	if len(h.out) != 1 {
@@ -54,7 +54,7 @@ func TestClusterQueueBackpressure(t *testing.T) {
 	// Jam the remote side by not draining it: replace the drain with a
 	// fresh engine setup where Remote.Out is left alone.
 	e := sim.NewEngine()
-	ctl := NewController("jam", 0, 1, cfg, nil)
+	ctl := NewController("jam", 0, 1, cfg, flit.NewPool())
 	e.Register("ctl", ctl)
 	for i := 0; i < 12; i++ {
 		for _, f := range flitsOf(flit.ReadRsp, 1) {
@@ -82,7 +82,7 @@ func TestPerDstAccountingNeverNegative(t *testing.T) {
 			p.TrimEligible = true
 			p.SectorOffset = uint8(rng.Intn(4))
 		}
-		h.inject(flit.Segment(p, 16)...)
+		h.inject(segment(p, 16)...)
 		h.run(2)
 	}
 	h.run(3000)
@@ -102,7 +102,7 @@ func TestStitchedFlitNeverOverflowsOnWire(t *testing.T) {
 	rng := sim.NewRand(9)
 	types := []flit.Type{flit.ReadReq, flit.ReadRsp, flit.WriteRsp, flit.PTReq, flit.PTRsp}
 	for i := 0; i < 300; i++ {
-		h.inject(flit.Segment(pkt(types[rng.Intn(len(types))], 1), 16)...)
+		h.inject(segment(pkt(types[rng.Intn(len(types))], 1), 16)...)
 		if rng.Intn(3) == 0 {
 			h.run(1)
 		}
@@ -125,7 +125,7 @@ func TestEightByteFlits(t *testing.T) {
 	cfg.FlitBytes = 8
 	h := newHarness(cfg)
 	p := pkt(flit.ReadRsp, 1)
-	h.inject(flit.Segment(p, 8)...)
+	h.inject(segment(p, 8)...)
 	h.run(500)
 	// 68 bytes at 8B flits: 9 flits, tail 4 used / 4 empty.
 	if len(h.out) != 9 {
@@ -139,7 +139,7 @@ func TestEightByteFlits(t *testing.T) {
 }
 
 func TestControllerStringer(t *testing.T) {
-	c := NewController("x", 1, 1, Baseline(), nil)
+	c := NewController("x", 1, 1, Baseline(), flit.NewPool())
 	if c.String() == "" || c.Config().PoolingCycles != 32 {
 		t.Fatal("String/Config broken")
 	}
@@ -195,11 +195,10 @@ func TestPoolingIsLatencyNeutral(t *testing.T) {
 // with the trim state and is released only when its last flit is
 // absorbed, after the copy's storage may already have been reissued.
 func TestTrimCopyOutlivesTrimmedTrain(t *testing.T) {
-	pl := flit.NewPool()
 	cfg := Passthrough()
 	cfg.EnableTrim = true
 	h := newHarness(cfg)
-	h.ctl.pool = pl
+	pl := h.pool
 	p := pl.NewPacket(flit.Packet{ID: 1, Type: flit.ReadRsp, DstCluster: 1, TrimEligible: true})
 	orig := pl.Segment(nil, p, 16)
 	h.inject(orig[0], orig[1]) // flit 1 carries sector 0: the train goes
@@ -208,10 +207,9 @@ func TestTrimCopyOutlivesTrimmedTrain(t *testing.T) {
 		t.Fatalf("trimmed train has %d flits, want 2", len(h.out))
 	}
 	// The requester reassembles the train and releases it.
-	r := flit.NewReassembler()
 	var got *flit.Packet
 	for _, f := range h.out {
-		if r.Add(f.Pkt, f.Used) {
+		if f.Pkt.Arrive(f.Used) {
 			got = f.Pkt
 		}
 		pl.ReleaseFlit(f)
@@ -238,16 +236,22 @@ func TestTrimCopyOutlivesTrimmedTrain(t *testing.T) {
 	if next.ID != 2 || next.Type != flit.WriteRsp {
 		t.Fatalf("reissued packet disturbed: %v", next)
 	}
-	// The original went back with its last flit: every flit the pool
-	// allocated is free again, and every packet but the reissued one.
-	ff, fp := pl.Free()
-	if af, ap := pl.Allocated(); ff != af || fp != ap-1 {
-		t.Fatalf("free lists hold %d of %d flits, %d of %d packets", ff, af, fp, ap)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("the original is still usable after its last flit was absorbed")
+	// Every original flit was absorbed and released, and the original
+	// packet went back to the pool with the last of them.
+	for i, f := range orig {
+		if f.Pkt != nil {
+			t.Fatalf("original flit %d still live: %v", i, f)
 		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the original is still usable after its last flit was absorbed")
+			}
+		}()
+		pl.ReleasePacket(p)
 	}()
-	pl.ReleasePacket(p)
+	if q := pl.NewPacket(flit.Packet{ID: 3}); q != p {
+		t.Fatal("the original did not go back to its pool")
+	}
 }

@@ -11,15 +11,18 @@ import (
 // Local.In) and a collector popping Remote.Out, plus the reverse path.
 type harness struct {
 	e    *sim.Engine
+	pool *flit.Pool // the controller's pool
 	ctl  *Controller
 	out  []*flit.Flit // flits ejected onto the inter-cluster wire
 	back []*flit.Flit // flits forwarded toward the local cluster
 }
 
 func newHarness(cfg Config) *harness {
+	pool := flit.NewPool()
 	h := &harness{
-		e:   sim.NewEngine(),
-		ctl: NewController("ctl", 0, 1, cfg, nil),
+		e:    sim.NewEngine(),
+		pool: pool,
+		ctl:  NewController("ctl", 0, 1, cfg, pool),
 	}
 	h.e.Register("ctl", h.ctl)
 	h.e.Register("drain", sim.TickerFunc(func(now sim.Cycle) bool {
@@ -62,8 +65,14 @@ func pkt(t flit.Type, dst flit.ClusterID) *flit.Packet {
 	return &flit.Packet{ID: nextID, Type: t, SrcCluster: 0, DstCluster: dst}
 }
 
+// segment splits p into flits issued by a pool of their own, as traffic
+// from another shard is: the controller's pool does not take them back.
+func segment(p *flit.Packet, flitBytes int) []*flit.Flit {
+	return flit.NewPool().Segment(nil, p, flitBytes)
+}
+
 func flitsOf(t flit.Type, dst flit.ClusterID) []*flit.Flit {
-	return flit.Segment(pkt(t, dst), 16)
+	return segment(pkt(t, dst), 16)
 }
 
 func TestPassthroughFIFO(t *testing.T) {
@@ -147,7 +156,7 @@ func TestTrimEngineCutsResponse(t *testing.T) {
 	p.TrimEligible = true
 	p.SectorOffset = 0
 	id := p.ID
-	h.inject(flit.Segment(p, 16)...)
+	h.inject(segment(p, 16)...)
 	h.run(100)
 	// 68B response trims to 20B -> 2 flits instead of 5.
 	if len(h.out) != 2 {
@@ -173,7 +182,7 @@ func TestTrimWaitsForNeededSector(t *testing.T) {
 	p := pkt(flit.ReadRsp, 1)
 	p.TrimEligible = true
 	p.SectorOffset = 3 // last sector: release only after flit 4 arrives
-	fs := flit.Segment(p, 16)
+	fs := segment(p, 16)
 	// Inject only the first three flits; the trimmed train must not
 	// be released yet.
 	h.inject(fs[0], fs[1], fs[2])
@@ -192,7 +201,7 @@ func TestTrimDisabledPassesFullLine(t *testing.T) {
 	h := newHarness(Passthrough())
 	p := pkt(flit.ReadRsp, 1)
 	p.TrimEligible = true
-	h.inject(flit.Segment(p, 16)...)
+	h.inject(segment(p, 16)...)
 	h.run(100)
 	if len(h.out) != 5 {
 		t.Fatalf("trim ran while disabled: %d flits", len(h.out))
@@ -253,7 +262,7 @@ func TestNoSequencingKeepsArrivalBias(t *testing.T) {
 func backgroundFlits(n int) []*flit.Flit {
 	var out []*flit.Flit
 	for i := 0; i < n; i++ {
-		out = append(out, flit.Segment(pkt(flit.WriteReq, 1), 16)[:4]...)
+		out = append(out, segment(pkt(flit.WriteReq, 1), 16)[:4]...)
 	}
 	return out
 }
@@ -316,7 +325,7 @@ func TestSelectivePoolingExemptsPTW(t *testing.T) {
 		h := newHarness(cfg)
 		h.inject(flitsOf(flit.PTReq, 1)...)
 		for i := 0; i < 8; i++ {
-			h.inject(flit.Segment(pkt(flit.WriteReq, 1), 16)[:4]...) // full flits only
+			h.inject(segment(pkt(flit.WriteReq, 1), 16)[:4]...) // full flits only
 		}
 		var ptwAt sim.Cycle = -1
 		_, err := h.e.RunUntil(func() bool {
@@ -409,7 +418,7 @@ func TestConservationThroughController(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p := pkt(types[rng.Intn(len(types))], 1)
 		injected[p.ID] = p.RequiredBytes()
-		h.inject(flit.Segment(p, 16)...)
+		h.inject(segment(p, 16)...)
 		h.run(3)
 	}
 	h.run(2000)
@@ -455,7 +464,7 @@ func TestTrimWritesExtension(t *testing.T) {
 		p := pkt(flit.WriteReq, 1)
 		p.TrimEligible = true
 		p.SectorOffset = 1
-		h.inject(flit.Segment(p, 16)...)
+		h.inject(segment(p, 16)...)
 		h.run(200)
 		return len(h.out)
 	}
@@ -474,7 +483,7 @@ func TestTrimWritesIneligibleFullLinePasses(t *testing.T) {
 	cfg.TrimWrites = true
 	h := newHarness(cfg)
 	p := pkt(flit.WriteReq, 1) // full-line store: not eligible
-	h.inject(flit.Segment(p, 16)...)
+	h.inject(segment(p, 16)...)
 	h.run(200)
 	if len(h.out) != 5 {
 		t.Fatalf("full-line write was trimmed: %d flits", len(h.out))

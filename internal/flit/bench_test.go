@@ -40,14 +40,13 @@ func BenchmarkStitchUnstitch(b *testing.B) {
 
 func BenchmarkReassemble(b *testing.B) {
 	pl := NewPool()
-	r := NewReassembler()
 	var buf []*Flit
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := pl.NewPacket(Packet{ID: uint64(i), Type: ReadRsp})
 		buf = pl.Segment(buf[:0], p, 16)
 		for _, f := range buf {
-			r.Add(f.Pkt, f.Used)
+			f.Pkt.Arrive(f.Used)
 			pl.ReleaseFlit(f)
 		}
 		pl.ReleasePacket(p)

@@ -93,12 +93,6 @@ func (f *Flit) String() string {
 	return s + "]"
 }
 
-// Segment splits a packet into freshly allocated flits of the given
-// size; see Pool.Segment.
-func Segment(p *Packet, flitBytes int) []*Flit {
-	return (*Pool)(nil).Segment(nil, p, flitBytes)
-}
-
 // TrimResponse applies the Trim Engine transformation to a read
 // response: if the originating request needed at most one sector
 // (TrimEligible) the payload is cut to that sector. It returns true if
@@ -123,35 +117,3 @@ func TrimWriteRequest(p *Packet) bool {
 	p.Trimmed = true
 	return true
 }
-
-// Reassembler reports packets whose every byte has arrived. It counts
-// arrived bytes on each packet itself, so it keeps no per-packet record;
-// the RDMA engines use one each.
-type Reassembler struct {
-	pending int
-}
-
-// NewReassembler returns an empty reassembler.
-func NewReassembler() *Reassembler { return &Reassembler{} }
-
-// Add accounts for used bytes of packet p arriving, from one of its
-// own flits or a stitched item. It reports whether p has fully arrived.
-func (r *Reassembler) Add(p *Packet, used int) bool {
-	p.check()
-	if p.arrived == 0 {
-		r.pending++
-	}
-	p.arrived += used
-	total := p.RequiredBytes()
-	if p.arrived > total {
-		panic(fmt.Sprintf("flit: packet %v over-received: %d of %d bytes", p, p.arrived, total))
-	}
-	if p.arrived < total {
-		return false
-	}
-	r.pending--
-	return true
-}
-
-// Pending returns the number of partially received packets.
-func (r *Reassembler) Pending() int { return r.pending }

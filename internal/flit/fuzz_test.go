@@ -15,23 +15,22 @@ func FuzzSegmentReassemble(f *testing.F) {
 		if trim {
 			TrimResponse(p)
 		}
-		fl := Segment(p, flitBytes)
+		fl := segment(p, flitBytes)
 		total := 0
-		r := NewReassembler()
 		var done *Packet
 		for _, fr := range fl {
 			if fr.Used <= 0 || fr.Used > flitBytes {
 				t.Fatalf("flit used %d of %d", fr.Used, flitBytes)
 			}
 			total += fr.Used
-			for _, d := range addFlit(r, fr) {
+			for _, d := range arrive(fr) {
 				done = d
 			}
 		}
 		if total != p.RequiredBytes() {
 			t.Fatalf("segmented %d bytes, required %d", total, p.RequiredBytes())
 		}
-		if done != p || r.Pending() != 0 {
+		if done != p {
 			t.Fatal("reassembly incomplete")
 		}
 	})
@@ -43,14 +42,14 @@ func FuzzStitchUnstitch(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{3, 3, 3, 3})
 	f.Fuzz(func(t *testing.T, types []byte) {
-		parent := Segment(&Packet{ID: 999, Type: ReadRsp}, 16)[4]
+		parent := segment(&Packet{ID: 999, Type: ReadRsp}, 16)[4]
 		stitched := 0
 		for i, tb := range types {
 			if i > 64 {
 				break
 			}
 			p := &Packet{ID: uint64(i + 1), Type: Type(tb % uint8(NumTypes))}
-			fl := Segment(p, 16)
+			fl := segment(p, 16)
 			cand := fl[len(fl)-1]
 			if CanStitch(parent, cand) {
 				Stitch(parent, cand)

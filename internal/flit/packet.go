@@ -155,7 +155,7 @@ type Packet struct {
 	Txn *txn.Transaction
 
 	pool     *Pool // issuer; a released packet goes back only to it
-	arrived  int   // bytes reassembled so far (Reassembler)
+	arrived  int   // bytes reassembled so far (Arrive)
 	released bool
 }
 
@@ -163,6 +163,19 @@ func (p *Packet) check() {
 	if p.released {
 		panic("flit: released packet touched")
 	}
+}
+
+// Arrive accounts for used bytes of p reaching its destination, from
+// one of its own flits or a stitched item, and reports whether every
+// byte of p has now arrived.
+func (p *Packet) Arrive(used int) bool {
+	p.check()
+	p.arrived += used
+	total := p.RequiredBytes()
+	if p.arrived > total {
+		panic(fmt.Sprintf("flit: packet %v over-received: %d of %d bytes", p, p.arrived, total))
+	}
+	return p.arrived == total
 }
 
 // headerBytes returns the header size for a packet of type t. Requests

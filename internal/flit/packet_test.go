@@ -76,7 +76,7 @@ func TestTrimResponseIneligible(t *testing.T) {
 
 func TestSegmentStructure(t *testing.T) {
 	p := &Packet{Type: ReadRsp}
-	fl := Segment(p, 16)
+	fl := segment(p, 16)
 	if len(fl) != 5 {
 		t.Fatalf("ReadRsp segments to %d flits, want 5", len(fl))
 	}
@@ -104,12 +104,12 @@ func TestSegmentTinyFlitPanics(t *testing.T) {
 			t.Fatal("Segment with tiny flit size did not panic")
 		}
 	}()
-	Segment(&Packet{Type: ReadReq}, 4)
+	segment(&Packet{Type: ReadReq}, 4)
 }
 
 // Property: for every type and reasonable flit size, segmentation
 // conserves required bytes, every non-final flit is full, and the
-// reassembler recovers the packet exactly once.
+// packet completes exactly once, on its last flit.
 func TestSegmentReassembleProperty(t *testing.T) {
 	f := func(typ8, size8 uint8, trimmed bool) bool {
 		typ := Type(typ8 % uint8(NumTypes))
@@ -119,7 +119,7 @@ func TestSegmentReassembleProperty(t *testing.T) {
 			p.TrimEligible = true
 			TrimResponse(p)
 		}
-		fl := Segment(p, flitBytes)
+		fl := segment(p, flitBytes)
 		total := 0
 		for i, fr := range fl {
 			if i < len(fl)-1 && fr.Used != flitBytes {
@@ -130,17 +130,16 @@ func TestSegmentReassembleProperty(t *testing.T) {
 		if total != p.RequiredBytes() {
 			return false
 		}
-		r := NewReassembler()
 		var done *Packet
 		for _, fr := range fl {
-			for _, d := range addFlit(r, fr) {
+			for _, d := range arrive(fr) {
 				if done != nil {
 					return false // completed twice
 				}
 				done = d
 			}
 		}
-		return done == p && r.Pending() == 0
+		return done == p
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -150,12 +149,11 @@ func TestSegmentReassembleProperty(t *testing.T) {
 func TestReassemblerInterleavedPackets(t *testing.T) {
 	a := &Packet{ID: 1, Type: ReadRsp}
 	b := &Packet{ID: 2, Type: WriteReq}
-	fa, fb := Segment(a, 16), Segment(b, 16)
-	r := NewReassembler()
+	fa, fb := segment(a, 16), segment(b, 16)
 	var done []*Packet
 	for i := 0; i < 5; i++ {
-		done = append(done, addFlit(r, fa[i])...)
-		done = append(done, addFlit(r, fb[i])...)
+		done = append(done, arrive(fa[i])...)
+		done = append(done, arrive(fb[i])...)
 	}
 	if len(done) != 2 || done[0] != a || done[1] != b {
 		t.Fatalf("interleaved reassembly got %v", done)
@@ -164,14 +162,15 @@ func TestReassemblerInterleavedPackets(t *testing.T) {
 
 func TestReassemblerOverReceivePanics(t *testing.T) {
 	p := &Packet{ID: 9, Type: ReadReq}
-	r := NewReassembler()
-	r.Add(p, 11)
+	if p.Arrive(11) {
+		t.Fatal("11 of 12 bytes completed the packet")
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("over-receive did not panic")
 		}
 	}()
-	r.Add(p, 2)
+	p.Arrive(2)
 }
 
 func TestCrossesClusters(t *testing.T) {

@@ -20,33 +20,24 @@ import (
 // package panic on one, as txn panics on a released transaction, and a
 // released flit's packet pointer is nil.
 //
-// Like the shard's scheduler, a pool is single-goroutine state. A nil
-// *Pool is valid: it allocates every object and keeps none back.
+// Like the shard's scheduler, a pool is single-goroutine state.
 type Pool struct {
 	flits   []*Flit
 	packets []*Packet
-	// newFlits/newPackets count objects ever allocated: each is
-	// allocated only when the free list is empty, so until Empty they
-	// are the peak number of this pool's objects in flight.
-	newFlits, newPackets int
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
 func (pl *Pool) flit() *Flit {
-	if pl == nil {
-		return &Flit{}
-	}
 	n := len(pl.flits)
 	if n == 0 {
-		pl.newFlits++
 		return &Flit{pool: pl}
 	}
 	f := pl.flits[n-1]
 	pl.flits[n-1] = nil
 	pl.flits = pl.flits[:n-1]
-	f.pool, f.released = pl, false
+	f.released = false
 	return f
 }
 
@@ -56,44 +47,37 @@ func (pl *Pool) flit() *Flit {
 func (pl *Pool) NewPacket(v Packet) *Packet {
 	v.check()
 	var p *Packet
-	switch {
-	case pl == nil:
+	if n := len(pl.packets); n == 0 {
 		p = new(Packet)
-	case len(pl.packets) == 0:
-		pl.newPackets++
-		p = new(Packet)
-	default:
-		n := len(pl.packets) - 1
-		p = pl.packets[n]
-		pl.packets[n] = nil
-		pl.packets = pl.packets[:n]
+	} else {
+		p = pl.packets[n-1]
+		pl.packets[n-1] = nil
+		pl.packets = pl.packets[:n-1]
 	}
 	*p = v
 	p.pool, p.arrived = pl, 0
 	return p
 }
 
-// ReleaseFlit ends f's life: its stitch-item storage is kept for reuse,
-// everything else is cleared. f goes back on the free list when this
-// pool issued it.
+// ReleaseFlit ends f's life: its issuer and stitch-item storage are
+// kept, everything else is cleared. f goes back on the free list when
+// this pool issued it.
 func (pl *Pool) ReleaseFlit(f *Flit) {
 	f.check()
-	own := pl != nil && f.pool == pl
 	items := f.Stitched
 	clear(items)
-	*f = Flit{Stitched: items[:0], released: true}
-	if own {
+	*f = Flit{Stitched: items[:0], pool: f.pool, released: true}
+	if f.pool == pl {
 		pl.flits = append(pl.flits, f)
 	}
 }
 
-// ReleasePacket ends p's life and returns it to the free list when this
-// pool issued it.
+// ReleasePacket ends p's life, keeping only its issuer, and returns it
+// to the free list when this pool issued it.
 func (pl *Pool) ReleasePacket(p *Packet) {
 	p.check()
-	own := pl != nil && p.pool == pl
-	*p = Packet{released: true}
-	if own {
+	*p = Packet{pool: p.pool, released: true}
+	if p.pool == pl {
 		pl.packets = append(pl.packets, p)
 	}
 }
@@ -140,10 +124,3 @@ func (pl *Pool) Unstitch(dst []*Flit, f *Flit) []*Flit {
 // the pool stays usable. A run empties its pools before it returns, so
 // its peak in-flight population does not stay live with the system.
 func (pl *Pool) Empty() { pl.flits, pl.packets = nil, nil }
-
-// Free returns the lengths of the free lists.
-func (pl *Pool) Free() (flits, packets int) { return len(pl.flits), len(pl.packets) }
-
-// Allocated returns how many flits and packets this pool has ever
-// allocated; its free lists can never hold more.
-func (pl *Pool) Allocated() (flits, packets int) { return pl.newFlits, pl.newPackets }

@@ -1,16 +1,24 @@
 package flit
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// addFlit feeds f and everything stitched inside it to r, returning the
+// segment splits p into flits issued by a pool of their own.
+func segment(p *Packet, flitBytes int) []*Flit {
+	return NewPool().Segment(nil, p, flitBytes)
+}
+
+// arrive delivers f and everything stitched inside it, returning the
 // packets completed, in arrival order.
-func addFlit(r *Reassembler, f *Flit) []*Packet {
+func arrive(f *Flit) []*Packet {
 	var done []*Packet
-	if r.Add(f.Pkt, f.Used) {
+	if f.Pkt.Arrive(f.Used) {
 		done = append(done, f.Pkt)
 	}
 	for _, it := range f.Stitched {
-		if r.Add(it.Pkt, it.Used) {
+		if it.Pkt.Arrive(it.Used) {
 			done = append(done, it.Pkt)
 		}
 	}
@@ -34,16 +42,15 @@ func TestPoolRecyclesFlitsAndPackets(t *testing.T) {
 	if len(fl) != 5 || fl[4].Pkt != p || !fl[4].Last || fl[4].Used != 4 {
 		t.Fatalf("pooled segmentation = %v", fl)
 	}
-	r := NewReassembler()
 	for i, f := range fl {
-		done := addFlit(r, f)
+		done := arrive(f)
 		if (i == len(fl)-1) != (len(done) == 1) {
 			t.Fatalf("flit %d completed %v", i, done)
 		}
 		pl.ReleaseFlit(f)
 	}
 	pl.ReleasePacket(p)
-	if f, n := pl.Free(); f != 5 || n != 1 {
+	if f, n := len(pl.flits), len(pl.packets); f != 5 || n != 1 {
 		t.Fatalf("free lists hold %d flits, %d packets; want 5, 1", f, n)
 	}
 	q := pl.NewPacket(Packet{ID: 8, Type: WriteRsp})
@@ -54,8 +61,8 @@ func TestPoolRecyclesFlitsAndPackets(t *testing.T) {
 	if g.Pkt != q || g.Seq != 0 || !g.Last || len(g.Stitched) != 0 || g.InjectedAt != 0 {
 		t.Fatalf("reissued flit not clean: %+v", g)
 	}
-	if f, n := pl.Allocated(); f != 5 || n != 1 {
-		t.Fatalf("pool allocated %d flits, %d packets; want 5, 1", f, n)
+	if !slices.Contains(fl, g) {
+		t.Fatal("pool allocated a flit while five were free")
 	}
 }
 
@@ -79,13 +86,13 @@ func TestReleasedFlitAndPacketPanic(t *testing.T) {
 	pl.ReleasePacket(p)
 	mustPanic(t, "double packet release", func() { pl.ReleasePacket(p) })
 	mustPanic(t, "segmenting a released packet", func() { pl.Segment(nil, p, 16) })
-	mustPanic(t, "reassembling a released packet", func() { NewReassembler().Add(p, 4) })
+	mustPanic(t, "reassembling a released packet", func() { p.Arrive(4) })
 	mustPanic(t, "copying a released packet", func() { pl.NewPacket(*p) })
 }
 
 // TestPoolKeepsOnlyItsOwn pins the cross-shard rule: a flit or packet
-// released into a pool that did not issue it (another shard's, or none)
-// is left to the collector, so no free list outgrows its own pool.
+// released into a pool that did not issue it is left to the collector,
+// so no free list outgrows its own pool.
 func TestPoolKeepsOnlyItsOwn(t *testing.T) {
 	a, b := NewPool(), NewPool()
 	p := a.NewPacket(Packet{ID: 1, Type: ReadRsp})
@@ -94,21 +101,17 @@ func TestPoolKeepsOnlyItsOwn(t *testing.T) {
 		b.ReleaseFlit(f)
 	}
 	b.ReleasePacket(p)
-	if f, n := b.Free(); f != 0 || n != 0 {
+	if f, n := len(b.flits), len(b.packets); f != 0 || n != 0 {
 		t.Fatalf("foreign pool kept %d flits, %d packets", f, n)
 	}
-	if f, n := a.Free(); f != 0 || n != 0 {
+	if f, n := len(a.flits), len(a.packets); f != 0 || n != 0 {
 		t.Fatalf("issuing pool got %d flits, %d packets back from another pool's release", f, n)
 	}
-	loose := Segment(&Packet{ID: 2, Type: WriteRsp}, 16)[0]
+	loose := segment(&Packet{ID: 2, Type: WriteRsp}, 16)[0]
 	a.ReleaseFlit(loose)
-	if f, _ := a.Free(); f != 0 {
+	if len(a.flits) != 0 {
 		t.Fatal("pool kept a flit it never issued")
 	}
-	var none *Pool
-	q := none.NewPacket(Packet{ID: 3})
-	none.ReleaseFlit(none.Segment(nil, q, 16)[0])
-	none.ReleasePacket(q)
 }
 
 // TestCopiedPacketIsIndependent pins what the trim engine relies on: a
@@ -117,20 +120,22 @@ func TestPoolKeepsOnlyItsOwn(t *testing.T) {
 func TestCopiedPacketIsIndependent(t *testing.T) {
 	pl := NewPool()
 	p := pl.NewPacket(Packet{ID: 4, Type: ReadRsp, TrimEligible: true})
-	r := NewReassembler()
-	r.Add(p, 16)
+	p.Arrive(16)
 	cp := pl.NewPacket(*p)
 	TrimResponse(cp)
 	if cp == p || cp.ID != p.ID || cp.arrived != 0 || p.Trimmed || !cp.Trimmed {
 		t.Fatalf("copy %+v of %+v", cp, p)
 	}
 	for _, f := range pl.Segment(nil, cp, 16) {
-		addFlit(r, f)
+		arrive(f)
 		pl.ReleaseFlit(f)
 	}
 	pl.ReleasePacket(cp)
-	if p.RequiredBytes() != 68 || r.Pending() != 1 {
-		t.Fatalf("original disturbed by its copy's release: %+v, %d pending", p, r.Pending())
+	if p.RequiredBytes() != 68 || p.arrived != 16 {
+		t.Fatalf("original disturbed by its copy's release: %+v, %d bytes arrived", p, p.arrived)
+	}
+	if !p.Arrive(52) {
+		t.Fatal("original did not complete on its remaining bytes")
 	}
 }
 
@@ -139,7 +144,6 @@ func TestCopiedPacketIsIndependent(t *testing.T) {
 // releasing everything allocates nothing.
 func TestPooledTrafficNoAllocs(t *testing.T) {
 	pl := NewPool()
-	r := NewReassembler()
 	var buf, cands, items []*Flit
 	cycle := func() {
 		p := pl.NewPacket(Packet{ID: 1, Type: ReadRsp})
@@ -151,7 +155,7 @@ func TestPooledTrafficNoAllocs(t *testing.T) {
 		items = pl.Unstitch(items[:0], buf[4])
 		for _, fl := range [][]*Flit{buf, items} {
 			for _, f := range fl {
-				r.Add(f.Pkt, f.Used)
+				f.Pkt.Arrive(f.Used)
 				pl.ReleaseFlit(f)
 			}
 		}

@@ -7,7 +7,7 @@ import (
 
 func mkFlits(t Type, id uint64, dst ClusterID) []*Flit {
 	p := &Packet{ID: id, Type: t, DstCluster: dst}
-	return Segment(p, 16)
+	return segment(p, 16)
 }
 
 // TestStitchReadRspTails reproduces the paper's motivating scenario
@@ -208,7 +208,7 @@ func TestStitchedFlitOccupancyImproves(t *testing.T) {
 
 func TestOccupancy8ByteFlits(t *testing.T) {
 	p := &Packet{Type: ReadRsp} // 68 bytes -> 9 flits of 8B, tail 4 used
-	fl := Segment(p, 8)
+	fl := segment(p, 8)
 	if len(fl) != 9 {
 		t.Fatalf("8B segmentation: %d flits", len(fl))
 	}

@@ -17,15 +17,15 @@ func TestTraceIDSurvivesStitchRoundTrip(t *testing.T) {
 	const flitBytes = 32
 
 	parentPkt := &Packet{ID: 100, TraceID: 100, Type: ReadReq, DstCluster: 1}
-	parent := Segment(parentPkt, flitBytes)[0]
+	parent := segment(parentPkt, flitBytes)[0]
 
 	// A whole-packet candidate (WriteRsp fits one flit) and a partial
 	// candidate (the 4-byte tail flit of a 68-byte ReadRsp).
 	wholePkt := &Packet{ID: 200, TraceID: 42, Type: WriteRsp, DstCluster: 1}
-	whole := Segment(wholePkt, flitBytes)[0]
+	whole := segment(wholePkt, flitBytes)[0]
 
 	partialPkt := &Packet{ID: 300, TraceID: 7, Type: ReadRsp, DstCluster: 1}
-	partialFlits := Segment(partialPkt, flitBytes)
+	partialFlits := segment(partialPkt, flitBytes)
 	tail := partialFlits[len(partialFlits)-1]
 
 	for _, cand := range []*Flit{whole, tail} {
@@ -59,10 +59,9 @@ func TestTraceIDSurvivesStitchRoundTrip(t *testing.T) {
 
 	// Reassembling the partial packet from its original head flits plus
 	// the un-stitched tail yields the same Packet, trace id intact.
-	r := NewReassembler()
 	var got *Packet
 	for _, f := range append(partialFlits[:len(partialFlits)-1], out[1]) {
-		for _, p := range addFlit(r, f) {
+		for _, p := range arrive(f) {
 			got = p
 		}
 	}
@@ -83,7 +82,7 @@ func TestStitchRoundTripPreservesTrace(t *testing.T) {
 	tb := txn.NewTable("test")
 
 	parentPkt := &Packet{ID: 1, TraceID: 1, Type: ReadReq, DstCluster: 2}
-	parent := Segment(parentPkt, flitBytes)[0]
+	parent := segment(parentPkt, flitBytes)[0]
 
 	mk := func(id uint64, typ Type) *Packet {
 		tr := tb.Acquire(txn.KindRead, 0)
@@ -95,8 +94,8 @@ func TestStitchRoundTripPreservesTrace(t *testing.T) {
 	whole := mk(200, WriteRsp)
 	partial := mk(300, ReadRsp)
 
-	cands := []*Flit{Segment(whole, flitBytes)[0]}
-	pf := Segment(partial, flitBytes)
+	cands := []*Flit{segment(whole, flitBytes)[0]}
+	pf := segment(partial, flitBytes)
 	cands = append(cands, pf[len(pf)-1])
 	for _, cand := range cands {
 		if !CanStitch(parent, cand) {

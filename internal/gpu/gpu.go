@@ -46,7 +46,7 @@ type GPU struct {
 // tells the GPU where physical addresses live. tbl is the transaction
 // table the GPU acquires from (shared per cluster); nil creates a
 // private one. sched and pool are the owning shard's scheduler and flit
-// and packet free list; a nil pool allocates every flit and packet.
+// and packet free list.
 func New(id int, cfg Config, topo Topology, pt *vm.PageTable, tbl *txn.Table, sched *sim.Scheduler, pool *flit.Pool) *GPU {
 	cfg = cfg.WithDefaults()
 	g := &GPU{

@@ -32,7 +32,7 @@ func soloGPU(t *testing.T, cfg Config) (*sim.Engine, *GPU, *vm.PageTable) {
 	sched := sim.NewScheduler()
 	e.Register("sched", sched)
 	pt := vm.NewPageTable(&soloAlloc{next: 1 << 20})
-	g := New(0, cfg, soloTopology{}, pt, nil, sched, nil)
+	g := New(0, cfg, soloTopology{}, pt, nil, sched, flit.NewPool())
 	for i, tk := range g.Tickers() {
 		e.Register(g.Name+string(rune('a'+i)), tk)
 	}

@@ -64,7 +64,6 @@ type RDMA struct {
 	// Port connects to the cluster switch via a link.
 	Port  *network.Port
 	sendQ *sim.Queue[*flit.Flit]
-	reasm *flit.Reassembler
 	// segBuf is the reused slice a packet is segmented into.
 	segBuf []*flit.Flit
 
@@ -85,7 +84,7 @@ type RDMA struct {
 }
 
 // NewRDMA builds the engine. The port buffer is sized like a switch
-// buffer. pool may be nil (every flit and packet freshly allocated).
+// buffer.
 func NewRDMA(name string, gpuID int, topo Topology, mem *MemPartition, cfg Config, tbl *txn.Table, sched *sim.Scheduler, pool *flit.Pool) *RDMA {
 	r := &RDMA{
 		Name:  name,
@@ -99,7 +98,6 @@ func NewRDMA(name string, gpuID int, topo Topology, mem *MemPartition, cfg Confi
 		cfg:   cfg,
 		Port:  network.NewPort(name+".port", 1024),
 		sendQ: sim.NewQueue[*flit.Flit](0, 1),
-		reasm: flit.NewReassembler(),
 	}
 	r.Stats.BytesNeeded = stats.NewHistogram("le16", "le32", "le48", "le64")
 	return r
@@ -355,7 +353,7 @@ func (r *RDMA) NextWake(now sim.Cycle) sim.Cycle {
 // arrive accounts for used bytes of p and dispatches p once all of it
 // has arrived.
 func (r *RDMA) arrive(p *flit.Packet, used int, now sim.Cycle) {
-	if r.reasm.Add(p, used) {
+	if p.Arrive(used) {
 		r.dispatch(p, now)
 	}
 }

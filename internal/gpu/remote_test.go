@@ -37,8 +37,9 @@ func pairRig(t *testing.T, cfg Config) (*sim.Engine, [2]*GPU, *vm.PageTable) {
 	e.Register("sched", sched)
 	pt := vm.NewPageTable(&pairAlloc{})
 	topo := pairTopology{}
-	g0 := New(0, cfg, topo, pt, nil, sched, nil)
-	g1 := New(1, cfg, topo, pt, nil, sched, nil)
+	pool := flit.NewPool()
+	g0 := New(0, cfg, topo, pt, nil, sched, pool)
+	g1 := New(1, cfg, topo, pt, nil, sched, pool)
 	link := network.NewLink("l", g0.RDMA.Port, g1.RDMA.Port, 4, 1)
 	e.Register("link", link)
 	for _, g := range []*GPU{g0, g1} {

@@ -22,7 +22,7 @@ func BenchmarkSwitchSaturated(b *testing.B) {
 	e.Register("sw", sw)
 	e.Register("sk", sk)
 	p := &flit.Packet{ID: 1, Type: flit.ReadRsp, Dst: 1}
-	fl := flit.Segment(p, 16)
+	fl := flit.NewPool().Segment(nil, p, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range fl {

@@ -34,7 +34,7 @@ func (s *sink) SetWaker(w *sim.Waker) { s.port.In.SetWaker(w) }
 
 func mkFlit(id uint64, dst flit.DeviceID) *flit.Flit {
 	p := &flit.Packet{ID: id, Type: flit.ReadReq, Dst: dst}
-	return flit.Segment(p, 16)[0]
+	return flit.NewPool().Segment(nil, p, 16)[0]
 }
 
 func TestLinkDelivers(t *testing.T) {

@@ -27,8 +27,8 @@ func TestSwitchRoundRobinFairness(t *testing.T) {
 	for i := 0; i < n; i++ {
 		pA := &flit.Packet{ID: uint64(i), Type: flit.ReadReq, Src: 1, Dst: 9}
 		pB := &flit.Packet{ID: uint64(1000 + i), Type: flit.ReadReq, Src: 2, Dst: 9}
-		srcA.Out.Push(flit.Segment(pA, 16)[0], 0)
-		srcB.Out.Push(flit.Segment(pB, 16)[0], 0)
+		srcA.Out.Push(flit.NewPool().Segment(nil, pA, 16)[0], 0)
+		srcB.Out.Push(flit.NewPool().Segment(nil, pB, 16)[0], 0)
 	}
 	if _, err := e.RunUntil(func() bool { return len(sk.got) == 2*n }, 100000); err != nil {
 		t.Fatal(err)

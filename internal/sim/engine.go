@@ -115,7 +115,7 @@ func (w *Waker) Rounds() int64 {
 	return w.e.rounds
 }
 
-// wakeEntry is one pending wake in the engine's min-heap.
+// wakeEntry is one pending wake in a wakeHeap.
 type wakeEntry struct {
 	at  Cycle
 	idx int
@@ -134,7 +134,7 @@ type Engine struct {
 	// (CycleMax = parked). The heap holds (cycle, index) entries with
 	// lazy deletion: an entry is live iff its cycle equals wakeAt[idx].
 	wakeAt []Cycle
-	heap   []wakeEntry
+	heap   wakeHeap
 	// near holds indices armed for the immediately next round (the
 	// overwhelmingly common arm: a busy component or fresh queue push
 	// re-arming for now+1). Keeping them out of the heap makes the
@@ -216,7 +216,7 @@ func (e *Engine) arm(idx int, at Cycle) {
 	if at <= e.now+1 {
 		e.near = append(e.near, idx)
 	} else if at != CycleMax {
-		e.heapPush(wakeEntry{at: at, idx: idx})
+		e.heap.push(wakeEntry{at: at, idx: idx})
 	}
 }
 
@@ -266,7 +266,7 @@ func (e *Engine) round() bool {
 	}
 	e.near = keep
 	for len(e.heap) > 0 && e.heap[0].at <= e.now {
-		ent := e.heapPop()
+		ent := e.heap.pop()
 		if e.wakeAt[ent.idx] == ent.at {
 			due = append(due, ent.idx)
 			e.wakeAt[ent.idx] = CycleMax
@@ -321,7 +321,7 @@ func (e *Engine) nextDue() Cycle {
 		if e.wakeAt[top.idx] == top.at {
 			return top.at
 		}
-		e.heapPop() // stale entry
+		e.heap.pop() // stale entry
 	}
 	return CycleMax
 }
@@ -404,47 +404,51 @@ func (e *Engine) Run(n Cycle) {
 // driving components (inside RunUntil and Run).
 func (e *Engine) WallTime() time.Duration { return e.wall }
 
-// heapPush inserts an entry into the wake min-heap (ordered by cycle,
-// then registration index). Hand-rolled to keep entries unboxed —
-// container/heap's interface would allocate per push.
-func (e *Engine) heapPush(ent wakeEntry) {
-	h := append(e.heap, ent)
-	i := len(h) - 1
+// wakeHeap is a binary min-heap of wake entries, ordered by cycle, then
+// registration index. It sifts typed values itself: container/heap's
+// any-typed Push and Pop would box an entry per push. The engine keeps
+// its per-ticker wakes in one and the Scheduler its distinct pending
+// cycles.
+type wakeHeap []wakeEntry
+
+func (h *wakeHeap) push(ent wakeEntry) {
+	q := append(*h, ent)
+	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !wakeLess(h[i], h[parent]) {
+		if !wakeLess(q[i], q[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		q[i], q[parent] = q[parent], q[i]
 		i = parent
 	}
-	e.heap = h
+	*h = q
 }
 
-// heapPop removes and returns the minimum entry.
-func (e *Engine) heapPop() wakeEntry {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
+// pop removes and returns the minimum entry.
+func (h *wakeHeap) pop() wakeEntry {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && wakeLess(h[l], h[small]) {
+		if l < n && wakeLess(q[l], q[small]) {
 			small = l
 		}
-		if r < n && wakeLess(h[r], h[small]) {
+		if r < n && wakeLess(q[r], q[small]) {
 			small = r
 		}
 		if small == i {
 			break
 		}
-		h[i], h[small] = h[small], h[i]
+		q[i], q[small] = q[small], q[i]
 		i = small
 	}
-	e.heap = h
+	*h = q
 	return top
 }
 

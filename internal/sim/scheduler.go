@@ -30,7 +30,7 @@ type Scheduler struct {
 	base Cycle
 	// far holds buckets beyond the ring window, keyed by cycle.
 	far     map[Cycle][]func(Cycle)
-	keys    cycleHeap // distinct pending cycles, ring and far
+	keys    wakeHeap // distinct pending cycles, ring and far
 	free    [][]func(Cycle)
 	pending int
 	waker   *Waker
@@ -40,49 +40,6 @@ const (
 	ringSize = 4096
 	ringMask = ringSize - 1
 )
-
-// cycleHeap is a binary min-heap of cycles. It sifts typed values
-// itself: container/heap's any-typed Push and Pop box every cycle of
-// 256 or more, one allocation per distinct deadline.
-type cycleHeap []Cycle
-
-func (h *cycleHeap) push(c Cycle) {
-	*h = append(*h, c)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		p := (i - 1) / 2
-		if q[p] <= q[i] {
-			break
-		}
-		q[p], q[i] = q[i], q[p]
-		i = p
-	}
-}
-
-func (h *cycleHeap) pop() Cycle {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && q[r] < q[l] {
-			m = r
-		}
-		if q[i] <= q[m] {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
-	}
-	*h = q
-	return top
-}
 
 // NewScheduler returns an empty scheduler; register it with the engine.
 func NewScheduler() *Scheduler {
@@ -109,14 +66,14 @@ func (s *Scheduler) At(at Cycle, fn func(now Cycle)) {
 			// First entry for this cycle: publish it to the heap,
 			// unless an overflow bucket already did.
 			if len(s.far) == 0 || s.far[at] == nil {
-				s.keys.push(at)
+				s.keys.push(wakeEntry{at: at})
 			}
 		}
 		s.ring[i] = append(s.ring[i], fn)
 	} else {
 		b := s.far[at]
 		if b == nil {
-			s.keys.push(at)
+			s.keys.push(wakeEntry{at: at})
 		}
 		s.far[at] = append(b, fn)
 	}
@@ -147,8 +104,8 @@ func (s *Scheduler) After(now, delay Cycle, fn func(now Cycle)) {
 // Tick implements Ticker, firing every callback due at or before now.
 func (s *Scheduler) Tick(now Cycle) bool {
 	busy := false
-	for len(s.keys) > 0 && s.keys[0] <= now {
-		at := s.keys.pop()
+	for len(s.keys) > 0 && s.keys[0].at <= now {
+		at := s.keys.pop().at
 		// An overflow bucket for this cycle predates any ring entries
 		// (the window only moves forward), so it fires first.
 		// Callbacks may schedule more work for this same cycle while
@@ -185,7 +142,7 @@ func (s *Scheduler) NextWake(now Cycle) Cycle {
 	if len(s.keys) == 0 {
 		return CycleMax
 	}
-	return s.keys[0]
+	return s.keys[0].at
 }
 
 // Pending returns the number of scheduled callbacks.
