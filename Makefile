@@ -232,7 +232,9 @@ flow-smoke:
 # Race-instrumented smoke of the partitioned wake engine: the same
 # fig3-small cell serial and at 2 shards through the shipped binary,
 # byte-compared — the sharded engine must be bit-identical to serial
-# (DESIGN.md section 2.15) and race-clean while proving it.
+# (DESIGN.md section 2.15) and race-clean while proving it. The 2-shard
+# -profile-components table must merge the two shard schedulers into
+# one sched row (System.Profile).
 shard-smoke:
 	$(GO) run -race ./cmd/netcrafter-sim -workload GUPS -scale tiny \
 		-topo frontier-4x2 > /tmp/netcrafter-shard-serial.txt
@@ -240,6 +242,10 @@ shard-smoke:
 		-topo frontier-4x2 -shards 2 > /tmp/netcrafter-shard-sh2.txt
 	@cmp /tmp/netcrafter-shard-serial.txt /tmp/netcrafter-shard-sh2.txt || \
 		{ echo "shard-smoke: 2-shard run diverged from serial"; exit 1; }
+	$(GO) run -race ./cmd/netcrafter-sim -workload GUPS -scale tiny \
+		-topo frontier-4x2 -shards 2 -profile-components > /tmp/netcrafter-shard-profile.txt
+	@n=$$(grep -c '^  sched ' /tmp/netcrafter-shard-profile.txt); [ "$$n" = 1 ] || \
+		{ echo "shard-smoke: $$n sched rows in the 2-shard component profile, want 1"; exit 1; }
 	@if $(GO) run ./cmd/netcrafter-sim -shards 2 -heatmap -workload GUPS -scale tiny \
 		>/dev/null 2>/tmp/netcrafter-shard-smoke.err; then \
 		echo "shard-smoke: observability gate let -heatmap run sharded"; exit 1; \

@@ -5,8 +5,10 @@
 // setting produces byte-identical reports, only the wall-clock changes.
 // Per-cell progress streams to stderr. Every sweep also writes a
 // machine-readable manifest (BENCH_<scale>.json) with each report and
-// the simulator's own throughput, and -resume skips experiments the
-// manifest already holds.
+// the simulator's own throughput, timed with the engine self-profiler
+// off, and -resume skips experiments the manifest already holds.
+// Per-layer host time is the repository benchmark's traced pass
+// (benchmark/), not a sweep manifest field.
 //
 // -shards additionally partitions every cell's own engine across N
 // goroutines (cluster boundaries, lockstep epochs — DESIGN.md section
@@ -57,7 +59,6 @@ func main() {
 		resume   = flag.Bool("resume", false, "skip experiments already present in the manifest")
 		manifest = flag.String("manifest", "auto", "sweep manifest path ('auto' = BENCH_<scale>.json, 'off' = none)")
 		quiet    = flag.Bool("q", false, "suppress per-cell progress on stderr")
-		profile  = flag.Bool("profile", true, "record per-component host-time profiles in the manifest")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (post-sweep) to this file")
 	)
@@ -101,7 +102,7 @@ func main() {
 	if *shards > 1 && backend.Norm() != netcrafter.BackendCycle {
 		fail(fmt.Errorf("-shards %d partitions the cycle backend's engine; -backend %s cannot shard", *shards, backend.Norm()))
 	}
-	opt := netcrafter.ExperimentOptions{Parallel: *parallel, Profile: *profile, Backend: backend, Shards: *shards}
+	opt := netcrafter.ExperimentOptions{Parallel: *parallel, Backend: backend, Shards: *shards}
 	switch *scale {
 	case "tiny":
 		opt.Scale = netcrafter.Tiny()

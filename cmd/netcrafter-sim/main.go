@@ -281,7 +281,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		printResult(stdout, res, *verb)
-		if err := sk.writeProfile(stdout, res.Components); err != nil {
+		if err := sk.writeProfile(stdout, sys); err != nil {
 			return fail(err)
 		}
 	}
@@ -426,14 +426,14 @@ func (s *sinks) afterRun(sys *netcrafter.System, name string, runErr error, stdo
 	sys.DumpInFlight(stdout)
 }
 
-// writeProfile prints a run's per-component host-time table under
-// -profile-components.
-func (s *sinks) writeProfile(w io.Writer, costs []netcrafter.ComponentCost) error {
+// writeProfile prints sys's per-component host-time table, merged
+// over its shards, under -profile-components.
+func (s *sinks) writeProfile(w io.Writer, sys *netcrafter.System) error {
 	if !s.f.profile {
 		return nil
 	}
 	fmt.Fprintln(w)
-	return netcrafter.WriteComponentProfile(w, costs)
+	return netcrafter.WriteComponentProfile(w, sys.Profile())
 }
 
 // finish flushes and closes every sink after the last run: the span
@@ -610,7 +610,7 @@ func runCommMode(cfg netcrafter.Config, cf commFlags, sf sinkFlags, stdout, stde
 		fmt.Fprint(stdout, tbl)
 	}
 	if !flowBackend {
-		if err := sk.writeProfile(stdout, sys.Engine.Profile()); err != nil {
+		if err := sk.writeProfile(stdout, sys); err != nil {
 			return fail(err)
 		}
 	}

@@ -32,6 +32,7 @@ func TestRunFlagMatrix(t *testing.T) {
 		exit    int
 		wantOut []string // substrings that must appear on stdout
 		wantErr []string // substrings that must appear on stderr
+		once    []string // substrings that must appear on stdout exactly once
 	}{
 		{name: "plain", args: base, exit: 0, wantOut: []string{"GUPS", "cycles="}},
 		{name: "list", args: []string{"-list"}, exit: 0, wantOut: []string{"GUPS"}},
@@ -47,6 +48,11 @@ func TestRunFlagMatrix(t *testing.T) {
 			wantOut: []string{"congestion heatmap", "hottest links"}},
 		{name: "profile components", args: append(base, "-profile-components"), exit: 0,
 			wantOut: []string{"component profile", "host/tick"}},
+		// Each shard's engine registers its own scheduler; the printed
+		// profile merges them into one row and lists both shards'
+		// controllers.
+		{name: "shards profile components", args: append(base, "-topo", "frontier-4x2", "-shards", "2", "-profile-components"), exit: 0,
+			once: []string{"component profile", "\n  sched ", "\n  nc0 ", "\n  nc1 "}},
 		{name: "timeline unwritable", args: append(base, "-timeline", "/nonexistent-dir/x.json"), exit: 1,
 			wantErr: []string{"netcrafter-sim:"}},
 		{name: "spans unwritable", args: append(base, "-spans", "/nonexistent-dir/x.jsonl"), exit: 1,
@@ -137,6 +143,11 @@ func TestRunFlagMatrix(t *testing.T) {
 			for _, want := range tc.wantErr {
 				if !strings.Contains(errb.String(), want) {
 					t.Errorf("stderr missing %q:\n%s", want, errb.String())
+				}
+			}
+			for _, want := range tc.once {
+				if n := strings.Count(out.String(), want); n != 1 {
+					t.Errorf("stdout has %q %d times, want once:\n%s", want, n, out.String())
 				}
 			}
 		})

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"netcrafter/internal/cluster"
 	"netcrafter/internal/comm"
@@ -87,13 +86,12 @@ func commCells(opt Options) []commCell {
 }
 
 // runCommCells fans the comm cells out through the same cell pool as
-// runSuites. Comm cells apply neither Options.Profile nor
-// Options.Shards: they record no component profile, and the comm
-// runner refuses sharded systems.
+// runSuites. Comm cells do not apply Options.Shards: the comm runner
+// refuses sharded systems.
 func runCommCells(opt Options, cells []commCell) ([]*comm.Result, error) {
 	label := func(i int) (string, int) { return cells[i].label, 0 }
 	return runCells(opt, len(cells), label,
-		func(i int) (*comm.Result, sim.Cycle, time.Duration, error) {
+		func(i int) (*comm.Result, sim.Cycle, error) {
 			c := cells[i]
 			cfg := cluster.Baseline()
 			if c.cfg != nil {
@@ -102,9 +100,9 @@ func runCommCells(opt Options, cells []commCell) ([]*comm.Result, error) {
 			cfg.Backend = c.backend
 			r, err := cluster.RunCommOne(cfg, c.prog, c.sc, opt.Limit)
 			if r == nil {
-				return nil, 0, 0, err
+				return nil, 0, err
 			}
-			return r, r.Cycles, r.Wall, err
+			return r, r.Cycles, err
 		})
 }
 

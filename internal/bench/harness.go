@@ -57,11 +57,6 @@ type Options struct {
 	// that executes batches concurrently may invoke it from several
 	// goroutines.
 	Progress func(Progress)
-	// Profile enables the engine self-profiler on every cell, so
-	// measured runs (RunMeasured) can report where host time went per
-	// simulated component. Roughly doubles host cost per tick; simulated
-	// behaviour and report values are unaffected.
-	Profile bool
 	// Backend selects the simulation fidelity ("" = cycle). The flow
 	// backend runs only experiments tagged FidelityAny (see IDsFor);
 	// asking it for a cycle-fidelity experiment is an error, not a

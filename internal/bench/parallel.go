@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +35,8 @@ type Progress struct {
 	// batch size.
 	Cell, Cells int
 	// SimCycles is the simulated time the cell covered; Wall is the
-	// host time it took; Throughput is SimCycles/Wall in cycles/sec.
+	// cell's whole host time (build, run and result collection);
+	// Throughput is SimCycles/Wall in cycles/sec.
 	SimCycles sim.Cycle
 	Wall      time.Duration
 	// Err is the cell's failure, if any (the batch still drains).
@@ -58,75 +58,14 @@ func (p Progress) Throughput() float64 {
 type sweepStats struct {
 	cells     atomic.Int64
 	simCycles atomic.Int64
-	wall      atomic.Int64 // nanoseconds
-
-	mu      sync.Mutex
-	profile map[string]*componentAgg // by component name, nil until first add
 }
 
-// componentAgg merges one component's self-profile across cells.
-type componentAgg struct {
-	ticks, busy int64
-	host        time.Duration
-}
-
-func (s *sweepStats) add(cycles sim.Cycle, wall time.Duration) {
+func (s *sweepStats) add(cycles sim.Cycle) {
 	if s == nil {
 		return
 	}
 	s.cells.Add(1)
 	s.simCycles.Add(int64(cycles))
-	s.wall.Add(int64(wall))
-}
-
-// addProfile merges one cell's per-component host-time profile into the
-// run's aggregate. Components are keyed by name, so homonymous
-// components of different cells (every cell has its own "gpu0") fold
-// into one row — the aggregate answers "where does host time go across
-// the whole sweep", not "in which cell".
-func (s *sweepStats) addProfile(costs []sim.ComponentCost) {
-	if s == nil || len(costs) == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.profile == nil {
-		s.profile = make(map[string]*componentAgg, len(costs))
-	}
-	for _, c := range costs {
-		a := s.profile[c.Name]
-		if a == nil {
-			a = &componentAgg{}
-			s.profile[c.Name] = a
-		}
-		a.ticks += c.Ticks
-		a.busy += c.Busy
-		a.host += c.Host
-	}
-}
-
-// snapshotProfile returns the merged profile sorted by host time
-// descending (ties by name), or nil when profiling was off.
-func (s *sweepStats) snapshotProfile() []sim.ComponentCost {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.profile) == 0 {
-		return nil
-	}
-	out := make([]sim.ComponentCost, 0, len(s.profile))
-	for name, a := range s.profile {
-		out = append(out, sim.ComponentCost{Name: name, Ticks: a.ticks, Busy: a.busy, Host: a.host})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Host != out[j].Host {
-			return out[i].Host > out[j].Host
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }
 
 // parallelism resolves the worker count for a batch of cells:
@@ -156,14 +95,14 @@ func cellKey(o Options, i int) (cfg int, workload string) {
 
 // runCells is the worker pool every experiment fans out through: n
 // independent cells, run(i) simulating cell i on a private system and
-// returning its result with the simulated cycles and host wall time it
-// covered (0 wall = time the call). label(i) names the cell and its
+// returning its result with the simulated cycles it covered, while
+// runCells times the call. label(i) names the cell and its
 // configuration index for Progress events and errors. All cells run
 // even if one fails; results come back in submission order and the
 // error returned is the first failing cell in submission order, so
 // failures are as deterministic as successes.
 func runCells[R any](opt Options, n int, label func(i int) (string, int),
-	run func(i int) (R, sim.Cycle, time.Duration, error)) ([]R, error) {
+	run func(i int) (R, sim.Cycle, error)) ([]R, error) {
 	out := make([]R, n)
 	errs := make([]error, n)
 	var (
@@ -182,12 +121,10 @@ func runCells[R any](opt Options, n int, label func(i int) (string, int),
 					return
 				}
 				t0 := time.Now()
-				r, cycles, wall, err := run(i)
+				r, cycles, err := run(i)
+				wall := time.Since(t0)
 				out[i], errs[i] = r, err
-				if wall == 0 {
-					wall = time.Since(t0)
-				}
-				opt.stats.add(cycles, wall)
+				opt.stats.add(cycles)
 				if opt.Progress != nil {
 					name, ci := label(i)
 					pmu.Lock()
@@ -228,21 +165,17 @@ func runSuites(opt Options, cfgs ...cluster.Config) ([]map[string]*cluster.Resul
 		return name, ci
 	}
 	out, err := runCells(opt, len(cfgs)*len(opt.Workloads), label,
-		func(i int) (*cluster.Result, sim.Cycle, time.Duration, error) {
+		func(i int) (*cluster.Result, sim.Cycle, error) {
 			ci, name := cellKey(opt, i)
 			cfg := cfgs[ci] // value copy: per-cell tweaks stay local
-			if opt.Profile {
-				cfg.Profile = true
-			}
 			if opt.Shards > 1 && cfg.Shards == 0 {
 				cfg.Shards = opt.Shards
 			}
 			r, err := cluster.RunOne(cfg, name, opt.Scale, opt.Limit)
 			if r == nil {
-				return nil, 0, 0, err
+				return nil, 0, err
 			}
-			opt.stats.addProfile(r.Components)
-			return r, r.Cycles, r.Wall, err
+			return r, r.Cycles, err
 		})
 	if err != nil {
 		return nil, err

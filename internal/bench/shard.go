@@ -54,20 +54,11 @@ func extShard(opt Options) (*Report, error) {
 		Notes:   "every pair identical (equal=1): partitioning is a host-side optimization, not a model change"}
 	for _, w := range wls {
 		eq := 1.0
-		if !resultsEqual(rs[0][w], rs[2][w]) || !resultsEqual(rs[1][w], rs[3][w]) {
+		if !reflect.DeepEqual(rs[0][w], rs[2][w]) || !reflect.DeepEqual(rs[1][w], rs[3][w]) {
 			eq = 0
 		}
 		rep.AddRow(w, float64(rs[0][w].Cycles), float64(rs[2][w].Cycles),
 			float64(rs[1][w].Cycles), float64(rs[3][w].Cycles), eq)
 	}
 	return rep, nil
-}
-
-// resultsEqual compares two runs over every deterministic field; Wall
-// and Components are measurement metadata and excluded.
-func resultsEqual(a, b *cluster.Result) bool {
-	ca, cb := *a, *b
-	ca.Wall, cb.Wall = 0, 0
-	ca.Components, cb.Components = nil, nil
-	return reflect.DeepEqual(ca, cb)
 }

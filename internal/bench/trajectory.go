@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"netcrafter/internal/cluster"
-	"netcrafter/internal/sim"
 )
 
 // The trajectory exporter: every sweep writes a machine-readable
@@ -36,10 +35,6 @@ type RunStats struct {
 	SimCycles int64
 	// Wall is the host wall-clock the run took end to end.
 	Wall time.Duration
-	// Profile is the per-component host-time self-profile merged over
-	// every executed cell (by component name, host-time descending).
-	// Nil unless Options.Profile was set. Measurement metadata only.
-	Profile []sim.ComponentCost
 }
 
 // CellsPerSec returns executed cells per host second.
@@ -70,52 +65,8 @@ func RunMeasured(id string, opt Options) (*Report, RunStats, error) {
 		Cells:     int(acc.cells.Load()),
 		SimCycles: acc.simCycles.Load(),
 		Wall:      time.Since(t0),
-		Profile:   acc.snapshotProfile(),
 	}
 	return rep, st, err
-}
-
-// ComponentProfile is one component's row in a manifest's host-time
-// profile: where the simulator itself spent host time while producing
-// the entry. Like the throughput fields, it varies run to run.
-type ComponentProfile struct {
-	Name        string  `json:"name"`
-	Ticks       int64   `json:"ticks"`
-	Busy        int64   `json:"busy"`
-	HostSeconds float64 `json:"host_seconds"`
-}
-
-// profileCap bounds the per-entry profile in manifests; components past
-// the cap fold into one "(other)" row so manifests stay readable while
-// the totals stay exact.
-const profileCap = 32
-
-// toComponentProfiles converts a merged self-profile to its manifest
-// form, folding the tail past profileCap into "(other)".
-func toComponentProfiles(costs []sim.ComponentCost) []ComponentProfile {
-	if len(costs) == 0 {
-		return nil
-	}
-	out := make([]ComponentProfile, 0, profileCap+1)
-	for i, c := range costs {
-		if i < profileCap {
-			out = append(out, ComponentProfile{
-				Name:        c.Name,
-				Ticks:       c.Ticks,
-				Busy:        c.Busy,
-				HostSeconds: c.Host.Seconds(),
-			})
-			continue
-		}
-		if len(out) == profileCap {
-			out = append(out, ComponentProfile{Name: "(other)"})
-		}
-		o := &out[profileCap]
-		o.Ticks += c.Ticks
-		o.Busy += c.Busy
-		o.HostSeconds += c.Host.Seconds()
-	}
-	return out
 }
 
 // TrajectoryEntry is one experiment's slot in a manifest: its report
@@ -129,13 +80,8 @@ type TrajectoryEntry struct {
 	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
 	// Resumed marks an entry carried over unchanged from a previous
 	// manifest by a -resume run (its cost fields are the old run's).
-	Resumed bool `json:"resumed,omitempty"`
-	// Profile is the entry's per-component host-time self-profile
-	// (host-time descending, tail folded into "(other)"); present when
-	// the sweep ran with Options.Profile. Measurement metadata, like the
-	// throughput fields above.
-	Profile []ComponentProfile `json:"profile,omitempty"`
-	Report  *Report            `json:"report"`
+	Resumed bool    `json:"resumed,omitempty"`
+	Report  *Report `json:"report"`
 }
 
 // Trajectory is the manifest of one sweep: environment fingerprint,
@@ -355,7 +301,6 @@ func RunSweep(ids []string, so SweepOptions) (*Trajectory, error) {
 			WallSeconds:     st.Wall.Seconds(),
 			CellsPerSec:     st.CellsPerSec(),
 			SimCyclesPerSec: st.SimCyclesPerSec(),
-			Profile:         toComponentProfiles(st.Profile),
 			Report:          rep,
 		})
 	}

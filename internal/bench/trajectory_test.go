@@ -31,52 +31,6 @@ func TestRunMeasuredCountsCells(t *testing.T) {
 	}
 }
 
-// TestRunMeasuredProfile checks the self-profile plumbing: with
-// Options.Profile the merged per-component host-time profile reaches
-// RunStats and the manifest entry (sorted by host time, descending),
-// and without it the profile stays absent.
-func TestRunMeasuredProfile(t *testing.T) {
-	opt := tinyOpts("GUPS")
-	opt.Parallel = 2
-	_, st, err := RunMeasured("fig3", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Profile != nil {
-		t.Fatalf("profile present without Options.Profile: %+v", st.Profile)
-	}
-
-	opt.Profile = true
-	_, st, err = RunMeasured("fig3", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Profile) == 0 {
-		t.Fatal("Options.Profile set but RunStats.Profile empty")
-	}
-	names := map[string]bool{}
-	for i, c := range st.Profile {
-		names[c.Name] = true
-		if c.Ticks <= 0 || c.Host <= 0 {
-			t.Fatalf("component %s has no cost: %+v", c.Name, c)
-		}
-		if i > 0 && st.Profile[i-1].Host < c.Host {
-			t.Fatalf("profile not sorted by host time at %d: %+v", i, st.Profile)
-		}
-	}
-	if !names["nc0"] {
-		t.Fatalf("profile missing controller nc0: %v", names)
-	}
-
-	mf := toComponentProfiles(st.Profile)
-	if len(mf) == 0 || mf[0].Name != st.Profile[0].Name || mf[0].HostSeconds <= 0 {
-		t.Fatalf("manifest profile wrong: %+v", mf)
-	}
-	if len(mf) > profileCap+1 {
-		t.Fatalf("manifest profile uncapped: %d rows", len(mf))
-	}
-}
-
 func TestSweepRoundTrip(t *testing.T) {
 	traj, err := RunSweep([]string{"fig3", "table1"}, tinySweepOpts())
 	if err != nil {

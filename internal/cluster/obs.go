@@ -38,7 +38,7 @@ const obsWireWindow sim.Cycle = 1024
 // .unstitch), an occupancy track per guarded-link endpoint buffer, and
 // per-state dwell tracks from every cluster's transaction table. Call
 // Timeline.Finish after the run, then export with WriteTrace /
-// WriteHeatmap / WriteProfile.
+// WriteHeatmap.
 func (s *System) AttachObs(reg *obs.Registry, spans *obs.SpanRecorder, tl *timeline.Timeline) {
 	s.obsReg, s.obsTL = reg, tl
 	s.obsSpans = s.obsSpans || spans != nil

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -165,7 +166,7 @@ func TestTimelineEndToEnd(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := tl.WriteProfile(&buf); err != nil {
+	if err := timeline.WriteProfile(&buf, sys.Profile()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "component profile") || !strings.Contains(buf.String(), "nc0") {
@@ -202,10 +203,8 @@ func TestAttachObsNilIsFree(t *testing.T) {
 	}
 	a := run(0)
 	for mode := 1; mode <= 2; mode++ {
-		b := run(mode)
-		if a.Cycles != b.Cycles || a.Net.FlitsTotal.Value() != b.Net.FlitsTotal.Value() {
-			t.Fatalf("observability mode %d changed the run: %d/%d vs %d/%d cycles/flits",
-				mode, a.Cycles, a.Net.FlitsTotal.Value(), b.Cycles, b.Net.FlitsTotal.Value())
+		if b := run(mode); !reflect.DeepEqual(a, b) {
+			t.Fatalf("observability mode %d changed the run:\n%+v\n%+v", mode, *a, *b)
 		}
 	}
 }

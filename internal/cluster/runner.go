@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"netcrafter/internal/lasp"
 	"netcrafter/internal/sim"
@@ -31,16 +30,12 @@ func (s *System) Load(spec *workload.Spec) {
 // substitution 5). Only relative MPKI comparisons matter.
 const instructionExpansion = 10
 
-// Result aggregates everything one workload run produced.
+// Result aggregates everything one workload run simulated. It carries
+// no host time, so two runs of one cell are reflect.DeepEqual; callers
+// time runs themselves, and System.Profile says where host time went.
 type Result struct {
 	Workload string
 	Cycles   sim.Cycle
-
-	// Wall is the host wall-clock time the engine spent simulating this
-	// run — the cell's own cost, used by the benchmark harness to report
-	// simulator throughput. It is measurement metadata: deterministic
-	// report values must never be derived from it.
-	Wall time.Duration
 
 	Instructions int64
 	L1Accesses   int64
@@ -65,12 +60,6 @@ type Result struct {
 	// RemoteReads/RemoteWrites summed over GPUs.
 	RemoteReads  int64
 	RemoteWrites int64
-
-	// Components is the engine's per-component host-time self-profile,
-	// present only when Config.Profile was set (sorted by host time,
-	// descending). Like Wall, it is measurement metadata: host times
-	// vary run to run and must never feed deterministic report values.
-	Components []sim.ComponentCost
 }
 
 // L1MPKI returns L1 misses per kilo-instruction.
@@ -80,15 +69,6 @@ func (r *Result) L1MPKI() float64 {
 		return 0
 	}
 	return float64(r.L1Misses) / ki
-}
-
-// SimCyclesPerSec returns the run's simulator throughput: simulated
-// cycles advanced per host wall-clock second (0 if nothing was timed).
-func (r *Result) SimCyclesPerSec() float64 {
-	if r.Wall <= 0 {
-		return 0
-	}
-	return float64(r.Cycles) / r.Wall.Seconds()
 }
 
 // Speedup returns base.Cycles / r.Cycles (how much faster r is).
@@ -119,7 +99,6 @@ func (s *System) RunWorkload(spec *workload.Spec, limit sim.Cycle) (*Result, err
 	}
 	s.Load(spec)
 	start := s.Engine.Now()
-	wallStart := s.coord.Wall()
 	for ki, k := range spec.Kernels {
 		placement := lasp.ScheduleCTAs(k, s.cfg.GPUs)
 		for cta := 0; cta < k.CTAs; cta++ {
@@ -136,10 +115,7 @@ func (s *System) RunWorkload(spec *workload.Spec, limit sim.Cycle) (*Result, err
 			g.FlushL1()
 		}
 	}
-	r := s.collect(spec.Name, s.Engine.Now()-start)
-	r.Wall = s.coord.Wall() - wallStart
-	r.Components = s.profile()
-	return r, nil
+	return s.collect(spec.Name, s.Engine.Now()-start), nil
 }
 
 // emptyPools drops every shard's flit and packet free lists. A run

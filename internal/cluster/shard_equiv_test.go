@@ -25,15 +25,6 @@ var shardPresets = []string{
 	"ring-8x4", "fc-8x4", "asym-4x2", "uniform-4x2",
 }
 
-// normalize strips the measurement metadata (host wall time and the
-// self-profile) that legitimately differs between runs.
-func normalize(r *Result) Result {
-	c := *r
-	c.Wall = 0
-	c.Components = nil
-	return c
-}
-
 func runSharded(t *testing.T, preset string, shards int) (*Result, *System) {
 	t.Helper()
 	g, err := topo.Preset(preset)
@@ -64,9 +55,9 @@ func TestShardEquivalence(t *testing.T) {
 			if sys.Shards() < 2 {
 				t.Fatalf("%s: expected a partitioned system, got %d shard(s)", preset, sys.Shards())
 			}
-			if !reflect.DeepEqual(normalize(serial), normalize(sharded)) {
+			if !reflect.DeepEqual(serial, sharded) {
 				t.Errorf("%s: 4-shard result differs from serial:\nserial:  %+v\nsharded: %+v",
-					preset, normalize(serial), normalize(sharded))
+					preset, *serial, *sharded)
 			}
 		})
 	}
@@ -122,7 +113,7 @@ func TestShardClampsToClusters(t *testing.T) {
 	if got := sys.Shards(); got != 2 {
 		t.Fatalf("16 shards over 2 clusters gave %d shards, want 2", got)
 	}
-	if !reflect.DeepEqual(normalize(serial), normalize(sharded)) {
+	if !reflect.DeepEqual(serial, sharded) {
 		t.Error("clamped shard run differs from serial")
 	}
 }

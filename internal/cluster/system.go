@@ -50,8 +50,10 @@ type Config struct {
 	Seed uint64
 	// Profile enables the engine's per-component host-time self-profiler
 	// (sim.Engine.EnableProfile): every Tick is bracketed by host clock
-	// reads, and Result.Components reports where the host time went.
-	// Simulated behavior is unaffected; host cost is roughly 2x.
+	// reads, and System.Profile reports where the host time went.
+	// Simulated behavior is unaffected; host cost is 1.2-1.5x (the
+	// benchmark's trace.overhead). netcrafter-sim -profile-components
+	// and the benchmark's traced pass set it.
 	Profile bool
 	// Topo, when non-nil, is the explicit fabric to instantiate: link
 	// bandwidths are taken from the graph (flits/cycle) and a
@@ -587,11 +589,12 @@ func (s *System) Shards() int { return len(s.Engines) }
 // shard must have been delivered into its peer.
 func (s *System) BoundaryFlows() []shard.BoundaryFlow { return s.coord.BoundaryFlows() }
 
-// profile returns the per-component host-time self-profile, merging the
-// per-shard engines' profiles (rows with the same name — the per-shard
-// schedulers — sum; order is host time descending, name ascending,
-// matching sim.Engine.Profile).
-func (s *System) profile() []sim.ComponentCost {
+// Profile returns the per-component host-time self-profile of a
+// Config.Profile system, merging the per-shard engines' profiles (rows
+// with the same name — the per-shard schedulers — sum; order is host
+// time descending, name ascending, matching sim.Engine.Profile). Nil
+// when profiling is off.
+func (s *System) Profile() []sim.ComponentCost {
 	byName := map[string]int{}
 	var out []sim.ComponentCost
 	for _, e := range s.Engines {

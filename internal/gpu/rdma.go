@@ -240,7 +240,6 @@ func (r *RDMA) ReadRemote(t *txn.Transaction, now sim.Cycle) {
 		}
 	}
 	p.Txn = t
-	t.Span = p.Span
 	t.SetState(txn.StateNet, now)
 	t.Push(r, rdmaRoleReadStats, uint64(now)<<1|interBit, nil)
 	r.pendingReads++
@@ -278,7 +277,6 @@ func (r *RDMA) WriteRemoteTxn(t *txn.Transaction, now sim.Cycle) {
 	p.TrimEligible, p.SectorOffset = trimFields(paddr, bytes, r.cfg.TrimBytes)
 	p.TrimBytes = r.cfg.TrimBytes
 	t.Push(r, rdmaRoleWriteDone, 0, nil)
-	t.Span = p.Span
 	t.SetState(txn.StateNet, now)
 	p.Txn = t
 	r.outstandingWrites++
@@ -295,7 +293,6 @@ func (r *RDMA) ReadPTERemote(t *txn.Transaction, addr uint64, now sim.Cycle) {
 	r.Stats.RemotePTEReads.Inc()
 	p := r.newPacket(flit.PTReq, r.topo.DeviceOf(home), home, addr, now)
 	p.Txn = t
-	t.Span = p.Span
 	t.SetState(txn.StateNet, now)
 	r.pendingPTEs++
 	r.send(p, now)
@@ -414,9 +411,6 @@ func (r *RDMA) newResponse(t flit.Type, req *flit.Packet, now sim.Cycle) *flit.P
 	p.TraceID = req.TraceID
 	req.Span.End(now)
 	p.Span = r.Spans.Start(p.ID, p.TraceID, t.String(), int(r.dev), int(req.Src), now)
-	if p.Txn != nil {
-		p.Txn.Span = p.Span
-	}
 	return p
 }
 

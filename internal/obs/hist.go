@@ -6,9 +6,6 @@ import (
 	"sync"
 )
 
-func floatBits(v float64) uint64     { return math.Float64bits(v) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
-
 // logBucketCount is one bucket per power of two of the observed value
 // plus bucket 0 for values below 1 — enough for the full int64 cycle
 // range.

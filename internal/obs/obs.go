@@ -1,6 +1,6 @@
 // Package obs is the simulator's unified observability layer: a metrics
-// Registry of hierarchically named counters, gauges, log-bucketed
-// latency histograms and cycle-windowed time series, plus packet
+// Registry of hierarchically named pull gauges, log-bucketed latency
+// histograms and cycle-windowed time series, plus packet
 // lifecycle spans that attribute a packet's end-to-end latency to the
 // pipeline stages it crossed (injection, intra-cluster network, cluster
 // queue, pooling, inter-cluster wire, reassembly, memory service).
@@ -20,7 +20,7 @@
 // attach their own registry and cannot bleed counts into one another
 // (pinned by TestRegistryIsolation under the race detector). Sharing a
 // single registry between concurrent systems is also safe, merely
-// aggregated: instruments are internally locked or atomic.
+// aggregated: instruments are internally locked.
 package obs
 
 import (
@@ -29,67 +29,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"netcrafter/internal/sim"
 )
-
-// Counter is a monotonically increasing named count, safe for
-// concurrent use. A nil *Counter records nothing.
-type Counter struct {
-	name string
-	v    atomic.Int64
-}
-
-// Add increases the counter by d.
-func (c *Counter) Add(d int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(d)
-}
-
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
-// Gauge is a named instantaneous value, safe for concurrent use. A nil
-// *Gauge records nothing.
-type Gauge struct {
-	name string
-	bits atomic.Uint64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(floatBits(v))
-}
-
-// Value returns the stored value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return floatFromBits(g.bits.Load())
-}
 
 // Registry holds named instruments. Names are hierarchical dot paths
 // ("gpu0.rdma.remote_reads"); the text exporter preserves them. A nil
@@ -97,8 +39,6 @@ func (g *Gauge) Value() float64 {
 // components can be wired unconditionally.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	gaugeFns map[string]func() float64
 	hists    map[string]*Hist
 	series   map[string]*Series
@@ -107,42 +47,10 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		gaugeFns: make(map[string]func() float64),
 		hists:    make(map[string]*Hist),
 		series:   make(map[string]*Series),
 	}
-}
-
-// Counter returns (creating if needed) the named counter.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{name: name}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{name: name}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // GaugeFunc registers a pull gauge: f is evaluated at snapshot time.
@@ -203,12 +111,6 @@ func (r *Registry) Snapshot() []Metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []Metric
-	for name, c := range r.counters {
-		out = append(out, Metric{name, float64(c.Value())})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Metric{name, g.Value()})
-	}
 	for name, f := range r.gaugeFns {
 		out = append(out, Metric{name, f()})
 	}
@@ -235,25 +137,11 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		return nil
 	}
 	r.mu.Lock()
-	counters := sortedKeys(r.counters)
-	gauges := sortedKeys(r.gauges)
 	fns := sortedKeys(r.gaugeFns)
 	hists := sortedKeys(r.hists)
 	series := sortedKeys(r.series)
 	r.mu.Unlock()
 
-	for _, name := range counters {
-		c := r.Counter(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", promName(name), promName(name), c.Value()); err != nil {
-			return err
-		}
-	}
-	for _, name := range gauges {
-		g := r.Gauge(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", promName(name), promName(name), g.Value()); err != nil {
-			return err
-		}
-	}
 	for _, name := range fns {
 		r.mu.Lock()
 		f := r.gaugeFns[name]

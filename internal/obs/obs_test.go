@@ -11,34 +11,41 @@ import (
 	"netcrafter/internal/sim"
 )
 
-func TestCounterGauge(t *testing.T) {
+// TestRegistryInstruments checks that a name maps to one instrument:
+// Hist and Series return the same instrument for the same name (an
+// existing series keeps its window), and a re-registered GaugeFunc
+// replaces the old function.
+func TestRegistryInstruments(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("a.b.count")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
+	h := r.Hist("a.b.lat")
+	h.Observe(4)
+	r.Hist("a.b.lat").Observe(8)
+	if h.Count() != 2 || h.Max() != 8 {
+		t.Fatalf("hist count=%d max=%v, want 2 and 8", h.Count(), h.Max())
 	}
-	if r.Counter("a.b.count") != c {
-		t.Fatal("Counter did not return the same instrument for the same name")
+	s := r.Series("a.b.bytes", 10)
+	if r.Series("a.b.bytes", 99) != s || s.Window() != 10 {
+		t.Fatal("Series did not return the same instrument for the same name")
 	}
-	g := r.Gauge("a.b.gauge")
-	g.Set(2.5)
-	if got := g.Value(); got != 2.5 {
-		t.Fatalf("gauge = %v, want 2.5", got)
+	r.GaugeFunc("a.b.gauge", func() float64 { return 1 })
+	r.GaugeFunc("a.b.gauge", func() float64 { return 2.5 })
+	var gauges []Metric
+	for _, m := range r.Snapshot() {
+		if m.Name == "a.b.gauge" {
+			gauges = append(gauges, m)
+		}
+	}
+	if len(gauges) != 1 || gauges[0].Value != 2.5 {
+		t.Fatalf("gauge = %v, want one reading of 2.5", gauges)
 	}
 }
 
 func TestNilInstrumentsAreSafe(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
-	c.Inc()
-	c.Add(2)
-	if c.Value() != 0 {
-		t.Fatal("nil counter should report 0")
-	}
-	r.Gauge("x").Set(1)
 	r.Hist("x").Observe(1)
+	if r.Hist("x").Count() != 0 {
+		t.Fatal("nil registry's hist should report 0")
+	}
 	r.Series("x", 10).Observe(5, 1)
 	r.GaugeFunc("x", func() float64 { return 1 })
 	if got := r.Snapshot(); got != nil {
@@ -285,8 +292,8 @@ func TestSeriesWindowRollover(t *testing.T) {
 
 func TestWritePromSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("net.flits").Add(42)
-	r.Gauge("net.util").Set(0.5)
+	r.GaugeFunc("net.flits", func() float64 { return 42 })
+	r.GaugeFunc("net.util", func() float64 { return 0.5 })
 	r.GaugeFunc("gpu0.l1.misses", func() float64 { return 7 })
 	h := r.Hist("net.ctl.latency")
 	h.Observe(10)
@@ -327,8 +334,8 @@ func TestWritePromSnapshot(t *testing.T) {
 // and window-labeled series — the contract a Prometheus scraper sees.
 func TestWritePromGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("net.flits-total").Add(42)
-	r.Gauge("weird name!").Set(0.5)
+	r.GaugeFunc("net.flits-total", func() float64 { return 42 })
+	r.GaugeFunc("weird name!", func() float64 { return 0.5 })
 	r.GaugeFunc("0starts.with.digit", func() float64 { return 7 })
 	h := r.Hist("ctl.lat")
 	h.Observe(10)
@@ -338,12 +345,12 @@ func TestWritePromGolden(t *testing.T) {
 	if err := r.WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := `# TYPE net_flits_total counter
+	want := `# TYPE _0starts_with_digit gauge
+_0starts_with_digit 7
+# TYPE net_flits_total gauge
 net_flits_total 42
 # TYPE weird_name_ gauge
 weird_name_ 0.5
-# TYPE _0starts_with_digit gauge
-_0starts_with_digit 7
 # TYPE ctl_lat summary
 ctl_lat{quantile="0.5"} 12
 ctl_lat{quantile="0.9"} 20
@@ -391,8 +398,7 @@ func TestConcurrentRegistryAndSpans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				r.Counter("shared.count").Inc()
-				r.Gauge("shared.gauge").Set(float64(i))
+				r.GaugeFunc("shared.gauge", func() float64 { return float64(i) })
 				r.Hist("shared.hist").Observe(float64(i))
 				r.Series("shared.series", 64).Observe(sim.Cycle(i), 1)
 				s := rec.Start(uint64(w*iters+i), 0, "ReadReq", w, 0, sim.Cycle(i))
@@ -412,8 +418,11 @@ func TestConcurrentRegistryAndSpans(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := r.Counter("shared.count").Value(); got != workers*iters {
-		t.Fatalf("counter = %d, want %d", got, workers*iters)
+	if got := r.Hist("shared.hist").Count(); got != workers*iters {
+		t.Fatalf("hist count = %d, want %d", got, workers*iters)
+	}
+	if got := windowCount(r.Series("shared.series", 64)); got != workers*iters {
+		t.Fatalf("series count = %d, want %d", got, workers*iters)
 	}
 	if got := rec.Spans(); got != workers*iters {
 		t.Fatalf("spans = %d, want %d", got, workers*iters)
@@ -424,13 +433,14 @@ func TestConcurrentRegistryAndSpans(t *testing.T) {
 }
 
 // TestDisabledPathZeroAllocs asserts the acceptance criterion directly:
-// nil instruments perform zero allocations per operation.
+// nil instruments, and instruments looked up in a nil registry, perform
+// zero allocations per operation.
 func TestDisabledPathZeroAllocs(t *testing.T) {
 	var s *Span
 	var h *Hist
-	var c *Counter
 	var se *Series
 	var rec *SpanRecorder
+	var r *Registry
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := rec.Start(1, 1, "ReadReq", 0, 1, 0)
 		sp.To(StageWire, 10)
@@ -438,8 +448,10 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		s.To(StageCtlQueue, 5)
 		s.End(6)
 		h.Observe(3)
-		c.Inc()
 		se.Observe(7, 1)
+		r.Hist("x").Observe(3)
+		r.Series("x", 16).Observe(7, 1)
+		r.GaugeFunc("x", func() float64 { return 1 })
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %v per op, want 0", allocs)

@@ -25,8 +25,6 @@ func TestRegistryConcurrentInstruments(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				reg.Counter("shared.counter").Inc()
-				reg.Gauge("shared.gauge").Set(float64(i))
 				reg.Hist("shared.hist").Observe(float64(i % 64))
 				reg.Series("shared.series", 16).Observe(sim.Cycle(i), 1)
 				reg.GaugeFunc("shared.fn", func() float64 { return 1 })
@@ -38,8 +36,11 @@ func TestRegistryConcurrentInstruments(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := reg.Counter("shared.counter").Value(); got != 8*200 {
-		t.Fatalf("counter lost updates: %d, want %d", got, 8*200)
+	if got := reg.Hist("shared.hist").Count(); got != 8*200 {
+		t.Fatalf("hist lost updates: %d, want %d", got, 8*200)
+	}
+	if got := windowCount(reg.Series("shared.series", 16)); got != 8*200 {
+		t.Fatalf("series lost updates: %d, want %d", got, 8*200)
 	}
 }
 
@@ -57,13 +58,13 @@ func TestRegistryIsolation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i <= c*100; i++ {
-				regs[c].Counter("cell.work").Inc()
+				regs[c].Hist("cell.work").Observe(1)
 			}
 		}()
 	}
 	wg.Wait()
 	for c := 0; c < cells; c++ {
-		if got := regs[c].Counter("cell.work").Value(); got != int64(c*100+1) {
+		if got := regs[c].Hist("cell.work").Count(); got != int64(c*100+1) {
 			t.Errorf("registry %d holds %d, want %d (cross-cell bleed?)", c, got, c*100+1)
 		}
 	}
@@ -155,6 +156,15 @@ func TestSpanRecorderConcurrentFinish(t *testing.T) {
 	if len(recs) != 400 {
 		t.Fatalf("JSONL stream has %d spans, want 400", len(recs))
 	}
+}
+
+// windowCount totals the observations over every window of s.
+func windowCount(s *Series) int64 {
+	var n int64
+	for _, w := range s.Windows() {
+		n += w.Count
+	}
+	return n
 }
 
 type lockedWriter struct {

@@ -52,14 +52,3 @@ func WriteProfile(w io.Writer, costs []sim.ComponentCost) error {
 	}
 	return bw.Flush()
 }
-
-// WriteProfile renders the attached engine's self-profile (see the
-// package-level WriteProfile). A nil or unattached timeline writes the
-// empty-profile note.
-func (tl *Timeline) WriteProfile(w io.Writer) error {
-	var costs []sim.ComponentCost
-	if tl != nil && tl.eng != nil {
-		costs = tl.eng.Profile()
-	}
-	return WriteProfile(w, costs)
-}

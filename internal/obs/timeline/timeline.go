@@ -368,15 +368,6 @@ func (tl *Timeline) Finish(end sim.Cycle) {
 	}
 }
 
-// Engine returns the attached engine (nil when detached), letting
-// exporters include the engine's host-time self-profile.
-func (tl *Timeline) Engine() *sim.Engine {
-	if tl == nil {
-		return nil
-	}
-	return tl.eng
-}
-
 // ordered returns the retained ring events oldest-first.
 func (tl *Timeline) ordered() []Event {
 	if tl.n <= len(tl.events) || len(tl.events) == 0 {

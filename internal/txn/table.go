@@ -71,7 +71,6 @@ func (tb *Table) Acquire(k Kind, now sim.Cycle) *Transaction {
 	t.Needed = 0
 	t.Trimmed = false
 	t.Mem = MemOp{}
-	t.Span = nil
 	t.state = StateFree
 	t.born = now
 	t.hist = t.hist[:0]
@@ -98,7 +97,6 @@ func (tb *Table) release(t *Transaction) {
 	}
 	t.state = StateFree
 	t.live = false
-	t.Span = nil
 	t.Mem = MemOp{}
 
 	if t.prev != nil {

@@ -33,7 +33,6 @@ package txn
 
 import (
 	"netcrafter/internal/cache"
-	"netcrafter/internal/obs"
 	"netcrafter/internal/sim"
 )
 
@@ -180,7 +179,6 @@ type Transaction struct {
 	Needed  cache.SectorMask // sectors the requester needs, L1 scratch
 	Trimmed bool             // response arrived trimmed (carries only Needed)
 	Mem     MemOp            // DRAM transfer descriptor
-	Span    *obs.Span        // network span once the request becomes a packet
 
 	table *Table
 	state State

@@ -230,10 +230,6 @@ func (t *TLB) fill(tr *txn.Transaction, vpn uint64, at sim.Cycle) {
 	}
 }
 
-// Insert pre-populates a translation (used when a walk completes at the
-// GMMU, which fills both TLB levels per Section 2.3).
-func (t *TLB) Insert(vpn, base uint64) { t.arr.insert(vpn, base) }
-
 // InvalidateAll flushes the TLB (kernel boundary).
 func (t *TLB) InvalidateAll() { t.arr.invalidateAll() }
 

@@ -137,10 +137,11 @@ func Workloads() []string { return workload.Names() }
 func BuildSystem(cfg Config) (*System, error) { return cluster.Build(cfg) }
 
 // Topology is a declarative fabric graph: GPU devices, switches and
-// bandwidth-annotated links. Build one programmatically
-// (FrontierTopology, RingTopology, ...), load a preset or JSON spec
-// file (LoadTopology), and instantiate it with Config.WithTopology —
-// a NetCrafter controller is spliced into every cluster-boundary link.
+// bandwidth-annotated links. Build the paper's node with
+// FrontierTopology, or load a preset (ring, fully connected, fat-tree,
+// dragonfly; see TopologyPresets) or a JSON spec file with
+// LoadTopology, and instantiate it with Config.WithTopology — a
+// NetCrafter controller is spliced into every bandwidth taper point.
 type Topology = topo.Graph
 
 // LoadTopology resolves a preset name (see TopologyPresets) or a JSON
@@ -156,39 +157,6 @@ func TopologyPresets() []string { return topo.Presets() }
 // the seed system.
 func FrontierTopology(nGPUs, nClusters, intraBW, interBW int, latency Cycle) *Topology {
 	return topo.FrontierNode(nGPUs, nClusters, intraBW, interBW, latency)
-}
-
-// RingTopology joins nClusters clusters in a ring of interBW links.
-func RingTopology(nClusters, gpusPerCluster, intraBW, interBW int, latency Cycle) *Topology {
-	return topo.Ring(nClusters, gpusPerCluster, intraBW, interBW, latency)
-}
-
-// FullyConnectedTopology joins every cluster pair directly at interBW.
-func FullyConnectedTopology(nClusters, gpusPerCluster, intraBW, interBW int, latency Cycle) *Topology {
-	return topo.FullyConnected(nClusters, gpusPerCluster, intraBW, interBW, latency)
-}
-
-// FatTreeTopology builds a k-ary fat-tree scale-out fabric: k pods
-// (one GPU cluster each, k/2 edge + k/2 aggregation switches) under a
-// (k/2)^2-switch backbone core, with hostsPerEdge GPUs per edge switch
-// and bandwidth tapering host -> up -> core. Controllers land at every
-// taper point — the edge side of each edge-agg link and the agg side
-// of each agg-core link — not just the pod boundary (see
-// TopologyTaperPoints). FatTreeTopology(4, 8, 8, 4, 2, 1) is the
-// fattree-64 preset.
-func FatTreeTopology(k, hostsPerEdge, hostBW, upBW, coreBW int, latency Cycle) *Topology {
-	return topo.FatTree(k, hostsPerEdge, hostBW, upBW, coreBW, latency)
-}
-
-// DragonflyTopology builds a dragonfly(a, g, h) scale-out fabric: g
-// groups (one GPU cluster each) of a fully connected routers, h global
-// channels per router spread over the other groups (one cable per
-// group pair), and hostsPerRouter GPUs per router. Global links run at
-// globalBW < localBW, so every global link gets a controller at both
-// ends. DragonflyTopology(4, 8, 2, 2, 8, 2, 1) is the dragonfly-64
-// preset.
-func DragonflyTopology(routersPerGroup, nGroups, globalPerRouter, hostsPerRouter, localBW, globalBW int, latency Cycle) *Topology {
-	return topo.Dragonfly(routersPerGroup, nGroups, globalPerRouter, hostsPerRouter, localBW, globalBW, latency)
 }
 
 // TopologyTaperPoints counts a fabric's bandwidth taper points — the
@@ -230,7 +198,8 @@ func RunOnSystem(sys *System, name string, sc Scale, limit Cycle) (*Result, erro
 
 // CommPlan is a timed communication program: per-GPU send sequences
 // generated by a collective or serving builder (CommProgram), or
-// parsed from a JSONL trace (ParseCommTrace). Run one with RunComm.
+// parsed from a JSONL trace (ParseCommTrace). Run one with
+// RunCommPlan or RunCommPlanWith.
 type CommPlan = comm.Plan
 
 // CommScale parameterizes communication-program generation: message
@@ -258,13 +227,6 @@ func CommPrograms() []string { return comm.Names() }
 // scale.
 func CommProgram(name string, sc CommScale) (*CommPlan, error) { return comm.ByName(name, sc) }
 
-// RunComm builds a fresh system with cfg and executes the named
-// communication program over the real RDMA/fabric path (CommScale.GPUs
-// 0 means every GPU participates).
-func RunComm(cfg Config, name string, sc CommScale, limit Cycle) (*CommResult, error) {
-	return cluster.RunCommOne(cfg, name, sc, limit)
-}
-
 // RunCommPlan executes an explicit plan (generated or trace-parsed) on
 // an already-built system; repeated calls run back to back on the
 // system's clock.
@@ -288,7 +250,7 @@ func WriteCommTrace(w io.Writer, p *CommPlan) error { return comm.WritePlan(w, p
 // exported with WriteCommTrace replays to identical metrics.
 func ParseCommTrace(r io.Reader) (*CommPlan, error) { return comm.ParsePlan(r) }
 
-// MetricsRegistry holds named counters, gauges, latency histograms and
+// MetricsRegistry holds named pull gauges, latency histograms and
 // cycle-windowed time series; attach one with System.AttachObs and
 // export it with Snapshot or WriteProm.
 type MetricsRegistry = obs.Registry
@@ -315,8 +277,7 @@ type LatencyBreakdown = obs.Breakdown
 // per-transaction state dwells. Attach one with
 // System.AttachObs, call Finish after the run, then export with
 // WriteTrace (Chrome Trace Event JSON, viewable in Perfetto /
-// chrome://tracing), WriteHeatmap (terminal congestion heatmap) and
-// WriteProfile (per-component host-time table).
+// chrome://tracing) and WriteHeatmap (terminal congestion heatmap).
 type Timeline = timeline.Timeline
 
 // NewTimeline creates a timeline; capacity <= 0 selects the default
@@ -324,11 +285,11 @@ type Timeline = timeline.Timeline
 func NewTimeline(capacity int) *Timeline { return timeline.New(capacity) }
 
 // ComponentCost is one component's engine self-profile row (ticks,
-// busy ticks, host time); see Result.Components and Config.Profile.
+// busy ticks, host time); see System.Profile and Config.Profile.
 type ComponentCost = sim.ComponentCost
 
-// WriteComponentProfile renders a self-profile (e.g. Result.Components
-// from a Config.Profile run) as an aligned host-time table.
+// WriteComponentProfile renders a self-profile (System.Profile of a
+// Config.Profile system) as an aligned host-time table.
 func WriteComponentProfile(w io.Writer, costs []ComponentCost) error {
 	return timeline.WriteProfile(w, costs)
 }
