@@ -60,13 +60,18 @@ bench:
 # set-up and solve costs (network compilation at 512 GPUs, plan
 # generation, one alltoall solve), the flit pool's segment/stitch/
 # reassemble path, the NetCrafter controller's trim/stitch/pool/eject
-# path, cycle-backend system set-up (cluster.Build on 64-GPU and 8-GPU
-# fabrics) and one steady-state remote write through a built system.
+# path, the cache's lookup, fill and MSHR paths, cycle-backend system
+# set-up (cluster.Build on 64-GPU and 8-GPU fabrics) and one
+# steady-state remote write through a built system.
 # `bench-micro` gives real numbers; `bench-micro-smoke` (in ci) just
-# proves they still compile, run, and hold their 0 allocs/op pins.
+# proves they still compile, run, and hold their 0 allocs/op pins
+# (among them the MSHR, the workload programs' Next, a page walk and a
+# local read through L1, L2 and DRAM).
 bench-micro:
 	$(GO) test -run='^$$' -bench='BenchmarkEngine|BenchmarkQueue|BenchmarkScheduler' \
 		-benchmem -count=3 ./internal/sim
+	$(GO) test -run='^$$' -bench='BenchmarkMSHRAllocateRelease|BenchmarkLookupHit|BenchmarkFillEvictChurn' \
+		-benchmem -count=3 ./internal/cache
 	$(GO) test -run='^$$' -bench='BenchmarkSwitch|BenchmarkLink' \
 		-benchmem -count=3 ./internal/network
 	$(GO) test -run='^$$' -bench='BenchmarkTxn' \
@@ -89,6 +94,9 @@ bench-micro:
 bench-micro-smoke:
 	$(GO) test -run='NoAllocs' -bench='BenchmarkEngine|BenchmarkQueue|BenchmarkScheduler' \
 		-benchmem -count=1 -benchtime=100x ./internal/sim
+	$(GO) test -run='NoAllocs' -bench='BenchmarkMSHRAllocateRelease|BenchmarkLookupHit|BenchmarkFillEvictChurn' \
+		-benchmem -count=1 -benchtime=100x ./internal/cache
+	$(GO) test -count=1 -run='NoAllocs' ./internal/workload ./internal/vm
 	$(GO) test -run='NoAllocs' -bench='BenchmarkSwitch|BenchmarkLink' \
 		-benchmem -count=1 -benchtime=100x ./internal/network
 	$(GO) test -run='NoAllocs' -bench='BenchmarkTxn' \

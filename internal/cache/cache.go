@@ -78,11 +78,30 @@ func (c Config) MaskForBytes(offset, n int) SectorMask {
 	return m
 }
 
+// line is one cache way in 16 bytes: the tag (the line address) and a
+// meta word packing the LRU stamp (bits 17–63), the dirty bit (bit 16)
+// and the valid-sector mask (bits 0–15). A line with no valid sector is
+// empty. A 16-way L2 set fits in 256 bytes.
 type line struct {
-	tag    uint64
-	valid  SectorMask
-	dirty  bool
-	lastAt uint64 // LRU stamp
+	tag  uint64
+	meta uint64
+}
+
+const (
+	dirtyBit   = 1 << 16
+	stampShift = 17
+	// clockLimit is the first LRU stamp the meta word cannot hold: a
+	// cache's clock panics rather than wrap past 2^47 accesses.
+	clockLimit = 1 << (64 - stampShift)
+)
+
+func (l *line) valid() SectorMask { return SectorMask(l.meta) }
+func (l *line) dirty() bool       { return l.meta&dirtyBit != 0 }
+func (l *line) stamp() uint64     { return l.meta >> stampShift }
+
+// touch sets the line's LRU stamp, keeping its dirty bit and sectors.
+func (l *line) touch(clock uint64) {
+	l.meta = clock<<stampShift | l.meta&(1<<stampShift-1)
 }
 
 // Result is the outcome of a cache lookup.
@@ -169,17 +188,26 @@ func (c *Cache) locate(addr uint64) (set []line, tag uint64) {
 	return c.lines[i : i+w : i+w], lineAddr
 }
 
+// tick advances the LRU clock by one access. The clock panics rather
+// than wrap: a wrapped stamp would silently invert the LRU order.
+func (c *Cache) tick() {
+	c.clock++
+	if c.clock >= clockLimit {
+		panic("cache: LRU clock passed 2^47 accesses")
+	}
+}
+
 // Lookup probes the cache for the needed sectors of the line holding
 // addr. It updates LRU on hit and the hit/miss statistics always.
 func (c *Cache) Lookup(addr uint64, needed SectorMask) Result {
 	c.Stats.Accesses.Inc()
-	c.clock++
+	c.tick()
 	set, tag := c.locate(addr)
 	for i := range set {
 		l := &set[i]
-		if l.valid != 0 && l.tag == tag {
-			if l.valid&needed == needed {
-				l.lastAt = c.clock
+		if l.tag == tag && l.valid() != 0 {
+			if l.valid()&needed == needed {
+				l.touch(c.clock)
 				c.Stats.Hits.Inc()
 				return Hit
 			}
@@ -196,8 +224,8 @@ func (c *Cache) Lookup(addr uint64, needed SectorMask) Result {
 func (c *Cache) Contains(addr uint64, needed SectorMask) bool {
 	set, tag := c.locate(addr)
 	for i := range set {
-		if set[i].valid != 0 && set[i].tag == tag {
-			return set[i].valid&needed == needed
+		if set[i].tag == tag && set[i].valid() != 0 {
+			return set[i].valid()&needed == needed
 		}
 	}
 	return false
@@ -217,41 +245,40 @@ func (c *Cache) Fill(addr uint64, mask SectorMask) (ev Eviction, evicted bool) {
 		panic("cache: Fill with empty sector mask")
 	}
 	c.Stats.Fills.Inc()
-	c.clock++
+	c.tick()
 	if c.lines == nil {
 		c.lines = make([]line, c.nSets*uint64(c.cfg.Ways))
 	}
 	set, tag := c.locate(addr)
 	// Already present: merge sectors.
 	for i := range set {
-		if set[i].valid != 0 && set[i].tag == tag {
-			set[i].valid |= mask
-			set[i].lastAt = c.clock
+		l := &set[i]
+		if l.tag == tag && l.valid() != 0 {
+			l.meta |= uint64(mask)
+			l.touch(c.clock)
 			return Eviction{}, false
 		}
 	}
 	// Choose an invalid way, else the LRU way.
-	victim := 0
+	victim, empty := 0, false
 	for i := range set {
-		if set[i].valid == 0 {
-			victim = i
-			goto install
+		if set[i].valid() == 0 {
+			victim, empty = i, true
+			break
 		}
-		if set[i].lastAt < set[victim].lastAt {
+		if set[i].stamp() < set[victim].stamp() {
 			victim = i
 		}
 	}
-	c.Stats.Evictions.Inc()
-	if set[victim].dirty {
-		c.Stats.Writebacks.Inc()
-		ev = Eviction{LineAddr: set[victim].tag * uint64(c.cfg.LineBytes), Dirty: true}
-		evicted = true
-	} else {
-		ev = Eviction{LineAddr: set[victim].tag * uint64(c.cfg.LineBytes)}
-		evicted = true
+	if !empty {
+		v := &set[victim]
+		c.Stats.Evictions.Inc()
+		if v.dirty() {
+			c.Stats.Writebacks.Inc()
+		}
+		ev, evicted = Eviction{LineAddr: v.tag * uint64(c.cfg.LineBytes), Dirty: v.dirty()}, true
 	}
-install:
-	set[victim] = line{tag: tag, valid: mask, lastAt: c.clock}
+	set[victim] = line{tag: tag, meta: c.clock<<stampShift | uint64(mask)}
 	return ev, evicted
 }
 
@@ -262,16 +289,16 @@ install:
 // store always propagates below. It reports whether the line was
 // present.
 func (c *Cache) Write(addr uint64, mask SectorMask) bool {
-	c.clock++
+	c.tick()
 	set, tag := c.locate(addr)
 	for i := range set {
 		l := &set[i]
-		if l.valid != 0 && l.tag == tag {
-			l.valid |= mask
-			l.lastAt = c.clock
+		if l.tag == tag && l.valid() != 0 {
+			l.meta |= uint64(mask)
 			if c.cfg.WriteBack {
-				l.dirty = true
+				l.meta |= dirtyBit
 			}
+			l.touch(c.clock)
 			return true
 		}
 	}
@@ -283,7 +310,7 @@ func (c *Cache) Write(addr uint64, mask SectorMask) bool {
 func (c *Cache) Invalidate(addr uint64) bool {
 	set, tag := c.locate(addr)
 	for i := range set {
-		if set[i].valid != 0 && set[i].tag == tag {
+		if set[i].tag == tag && set[i].valid() != 0 {
 			set[i] = line{}
 			return true
 		}
@@ -295,7 +322,7 @@ func (c *Cache) Invalidate(addr uint64) bool {
 // lines are counted as write-backs.
 func (c *Cache) InvalidateAll() {
 	for i := range c.lines {
-		if c.lines[i].dirty {
+		if c.lines[i].dirty() {
 			c.Stats.Writebacks.Inc()
 		}
 		c.lines[i] = line{}

@@ -4,14 +4,21 @@ package cache
 // line misses and merges secondary misses to the same line so only one
 // request goes below. The waiter payload is generic so L1s can park
 // wavefront transactions and TLBs can park translation requests.
+//
+// The file is one slice of slots, allocated at the first miss as cache
+// lines are. The live slots come first (len(slots) of them) and are
+// found by a linear scan, which beats hashing at the file sizes the
+// paper uses (at most 64 entries). A released slot keeps its waiter
+// slice, so a steady stream of misses allocates nothing.
 type MSHR[W any] struct {
-	entries map[uint64]*mshrEntry[W]
-	max     int
+	slots []mshrSlot[W] // live slots; cap is the file size once allocated
+	max   int
 }
 
-type mshrEntry[W any] struct {
-	waiters []W
+type mshrSlot[W any] struct {
+	line    uint64
 	mask    SectorMask // union of sectors requested while outstanding
+	waiters []W        // primary first, then merge order
 }
 
 // NewMSHR returns an MSHR file with the given number of entries.
@@ -19,7 +26,7 @@ func NewMSHR[W any](entries int) *MSHR[W] {
 	if entries <= 0 {
 		panic("cache: MSHR needs at least one entry")
 	}
-	return &MSHR[W]{entries: make(map[uint64]*mshrEntry[W]), max: entries}
+	return &MSHR[W]{max: entries}
 }
 
 // Outcome of an MSHR allocation attempt.
@@ -34,49 +41,72 @@ const (
 	Stalled
 )
 
+// find returns the index of the live slot tracking lineAddr, or -1.
+func (m *MSHR[W]) find(lineAddr uint64) int {
+	for i := range m.slots {
+		if m.slots[i].line == lineAddr {
+			return i
+		}
+	}
+	return -1
+}
+
 // Allocate registers a miss for lineAddr. On Primary and Merged the
 // waiter is recorded for delivery at Release time.
 func (m *MSHR[W]) Allocate(lineAddr uint64, mask SectorMask, waiter W) Outcome {
-	if e, ok := m.entries[lineAddr]; ok {
-		e.waiters = append(e.waiters, waiter)
-		e.mask |= mask
+	if i := m.find(lineAddr); i >= 0 {
+		s := &m.slots[i]
+		s.waiters = append(s.waiters, waiter)
+		s.mask |= mask
 		return Merged
 	}
-	if len(m.entries) >= m.max {
+	n := len(m.slots)
+	if n >= m.max {
 		return Stalled
 	}
-	m.entries[lineAddr] = &mshrEntry[W]{waiters: []W{waiter}, mask: mask}
+	if m.slots == nil {
+		m.slots = make([]mshrSlot[W], 0, m.max)
+	}
+	m.slots = m.slots[:n+1]
+	s := &m.slots[n]
+	s.line, s.mask = lineAddr, mask
+	s.waiters = append(s.waiters[:0], waiter)
 	return Primary
 }
 
 // Release completes the miss on lineAddr, returning all parked waiters
-// (primary first) and the union of requested sectors.
+// (primary first, then merge order) and the union of requested sectors.
+//
+// The waiter slice belongs to the file: it stays valid until the next
+// primary miss on this MSHR, which reuses the slot's storage. Callers
+// iterate it before they allocate on the same file again.
 func (m *MSHR[W]) Release(lineAddr uint64) (waiters []W, mask SectorMask, ok bool) {
-	e, ok := m.entries[lineAddr]
-	if !ok {
+	i := m.find(lineAddr)
+	if i < 0 {
 		return nil, 0, false
 	}
-	delete(m.entries, lineAddr)
-	return e.waiters, e.mask, true
+	last := len(m.slots) - 1
+	// Swap the released slot past the live ones; its waiter slice moves
+	// with it and is reused by the next primary miss.
+	m.slots[i], m.slots[last] = m.slots[last], m.slots[i]
+	s := m.slots[last]
+	m.slots = m.slots[:last]
+	return s.waiters, s.mask, true
 }
 
 // Mask returns the union of sectors requested on an outstanding line.
 func (m *MSHR[W]) Mask(lineAddr uint64) (SectorMask, bool) {
-	e, ok := m.entries[lineAddr]
-	if !ok {
-		return 0, false
+	if i := m.find(lineAddr); i >= 0 {
+		return m.slots[i].mask, true
 	}
-	return e.mask, true
+	return 0, false
 }
 
 // Pending reports whether lineAddr has an outstanding entry.
-func (m *MSHR[W]) Pending(lineAddr uint64) bool {
-	_, ok := m.entries[lineAddr]
-	return ok
-}
+func (m *MSHR[W]) Pending(lineAddr uint64) bool { return m.find(lineAddr) >= 0 }
 
 // Len returns the number of outstanding entries.
-func (m *MSHR[W]) Len() int { return len(m.entries) }
+func (m *MSHR[W]) Len() int { return len(m.slots) }
 
 // Full reports whether a new primary miss would stall.
-func (m *MSHR[W]) Full() bool { return len(m.entries) >= m.max }
+func (m *MSHR[W]) Full() bool { return len(m.slots) >= m.max }

@@ -66,7 +66,7 @@ func (s *System) RunComm(p *comm.Plan, opt comm.Options, limit sim.Cycle) (*comm
 	wallStart := s.coord.Wall()
 	done := []func() bool{func() bool { return tk.Done() && s.AllIdle() }}
 	if _, err := s.coord.RunUntil(done, limit); err != nil {
-		return nil, fmt.Errorf("cluster: comm %s: %w", p.Name, err)
+		return nil, s.wedged(fmt.Errorf("cluster: comm %s: %w", p.Name, err))
 	}
 	res := tk.Result()
 	res.Wall = s.coord.Wall() - wallStart

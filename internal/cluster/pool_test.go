@@ -6,9 +6,11 @@ import (
 
 	"netcrafter/internal/comm"
 	"netcrafter/internal/flit"
+	"netcrafter/internal/gpu"
 	"netcrafter/internal/lasp"
 	"netcrafter/internal/sim"
 	"netcrafter/internal/topo"
+	"netcrafter/internal/vm"
 	"netcrafter/internal/workload"
 )
 
@@ -131,6 +133,75 @@ func TestRemoteWriteNoAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, write); n != 0 {
 		t.Fatalf("steady-state remote write: %v allocs, want 0", n)
+	}
+}
+
+// conflictReads is an endless wavefront program of single-line reads
+// that cycles through more lines than the L1 and L2 have ways, all in
+// one L1 set and one L2 set, so every read misses both and DRAM serves
+// it. It reuses one access buffer, as the workload generators do.
+type conflictReads struct {
+	vaddrs []uint64
+	buf    [1]workload.LineAccess
+	calls  int
+}
+
+func (p *conflictReads) Next() (workload.Instr, bool) {
+	p.buf[0] = workload.LineAccess{VAddr: p.vaddrs[p.calls%len(p.vaddrs)], Bytes: 64}
+	p.calls++
+	return workload.Instr{Accesses: p.buf[:], ComputeCycles: 1}, true
+}
+
+// localRead returns one steady-state local read on a built system: a
+// wavefront on GPU 0 misses its L1 and the L2 and waits for DRAM, and
+// the engine runs until the wavefront fetches its next instruction.
+// The pages are premapped, so the TLBs hit once warm.
+func localRead(tb testing.TB) (read func(), g *gpu.GPU) {
+	sys, err := Build(WithNetCrafter())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g = sys.GPUs[0]
+	l1, l2 := g.Config().L1, g.Config().L2Bank
+	// Lines this many lines apart share an L1 set and an L2 bank and set.
+	stride := uint64(l1.SizeBytes/l1.LineBytes/l1.Ways) * uint64(g.Config().L2Banks*l2.SizeBytes/l2.LineBytes/l2.Ways)
+	prog := &conflictReads{}
+	vbase := uint64(1) << 36
+	for k := 0; k < l2.Ways+4; k++ {
+		paddr := gpuFrameSpan/4 + uint64(k)*stride*uint64(l2.LineBytes)
+		sys.PT.Map(vm.VPN(vbase)+uint64(k), paddr, 0)
+		prog.vaddrs = append(prog.vaddrs, vbase+uint64(k)*vm.PageBytes)
+	}
+	g.EnqueueWave(prog, sys.Engine.Now())
+	target := 0
+	fetched := func() bool { return prog.calls > target }
+	return func() {
+		target = prog.calls
+		if _, err := sys.Engine.RunUntil(fetched, sys.Engine.Now()+100_000); err != nil {
+			tb.Fatal(err)
+		}
+	}, g
+}
+
+// TestLocalReadNoAllocs pins a local read that misses the L1 and the L2
+// at zero allocations once the system is warm: the transaction comes
+// from the table's pool, the MSHRs reuse their slots, the program its
+// access buffer, and the caches, DRAM queue and scheduler already have
+// their storage.
+func TestLocalReadNoAllocs(t *testing.T) {
+	read, g := localRead(t)
+	for i := 0; i < 300; i++ {
+		read()
+	}
+	fetches, misses := g.Mem.DRAMFetches.Value(), g.L1Misses()
+	if n := testing.AllocsPerRun(100, read); n != 0 {
+		t.Fatalf("steady-state local read: %v allocs, want 0", n)
+	}
+	if got := g.Mem.DRAMFetches.Value() - fetches; got < 100 {
+		t.Fatalf("%d DRAM fetches in 101 reads: the reads hit a cache", got)
+	}
+	if got := g.L1Misses() - misses; got < 100 {
+		t.Fatalf("%d L1 misses in 101 reads", got)
 	}
 }
 

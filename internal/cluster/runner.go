@@ -91,7 +91,8 @@ func waveSeed(seed uint64, kernel, cta, wave int) uint64 {
 // RunWorkload loads and executes every kernel of the workload to
 // completion (kernels are serialized, with L1 flushes at kernel
 // boundaries under software coherence). It returns the aggregated
-// result or an error if the cycle limit is exceeded.
+// result, or an error if the cycle limit is exceeded or the run
+// deadlocks; the error names the live transactions (see wedged).
 func (s *System) RunWorkload(spec *workload.Spec, limit sim.Cycle) (*Result, error) {
 	defer s.emptyPools()
 	if s.Shards() > 1 && (s.obsReg != nil || s.obsTL != nil || s.obsSpans) {
@@ -109,7 +110,7 @@ func (s *System) RunWorkload(spec *workload.Spec, limit sim.Cycle) (*Result, err
 			}
 		}
 		if _, err := s.coord.RunUntil(s.idleFns, limit); err != nil {
-			return nil, fmt.Errorf("cluster: %s kernel %s: %w", spec.Name, k.Name, err)
+			return nil, s.wedged(fmt.Errorf("cluster: %s kernel %s: %w", spec.Name, k.Name, err))
 		}
 		for _, g := range s.GPUs {
 			g.FlushL1()

@@ -646,6 +646,27 @@ func (s *System) DumpInFlight(w io.Writer) {
 	}
 }
 
+// wedged adds to a run's cycle-limit or deadlock error what the
+// watchdog's tables hold: how many transactions are live, and the
+// oldest of them with its kind, stage, age and origin. A wedged run so
+// names its stuck request without -inflight-dump.
+func (s *System) wedged(err error) error {
+	now := s.Engine.Now()
+	var oldest *txn.Transaction
+	var table string
+	for _, tb := range s.Tables {
+		if t := tb.Oldest(); t != nil && (oldest == nil || t.Age(now) > oldest.Age(now)) {
+			oldest, table = t, tb.Name
+		}
+	}
+	if oldest == nil {
+		return fmt.Errorf("%w; no transaction in flight", err)
+	}
+	return fmt.Errorf("%w; %d transactions in flight, oldest %s #%d %s in %s for %d cycles, origin gpu%d/cu%d",
+		err, s.InFlight(), table, oldest.ID, oldest.Kind, oldest.State(), oldest.Age(now),
+		oldest.OriginGPU, oldest.OriginCU)
+}
+
 // CheckStuck runs the stuck-transaction watchdog over every cluster
 // table, reporting transactions older than budget cycles with their
 // full stage history, and returns how many it found.

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -376,5 +379,51 @@ func TestTimelineRecordsWireEvents(t *testing.T) {
 	}
 	if total[core.EventUnstitch] == 0 {
 		t.Error("no unstitch events recorded")
+	}
+}
+
+// TestWedgedRunNamesOldestTransaction: a tiny GUPS run whose cycle
+// limit is too small to finish fails with an error that counts the live
+// transactions and names the oldest one (id, kind, stage, age, origin),
+// as the in-flight dump lists them, without any dump being asked for.
+func TestWedgedRunNamesOldestTransaction(t *testing.T) {
+	sys := mustBuild(t, Baseline())
+	spec, err := workload.ByName("GUPS", workload.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sys.RunWorkload(spec, 2000)
+	if err == nil {
+		t.Fatal("GUPS finished within 2000 cycles; the limit no longer wedges the run")
+	}
+	var dump strings.Builder
+	sys.DumpInFlight(&dump)
+	entry := regexp.MustCompile(`^  #(\d+) (\S+) (\S+) age=(\d+) .* origin=(\S+) depth=`)
+	table, want, oldest := "", "", -1
+	for _, l := range strings.Split(dump.String(), "\n") {
+		if rest, ok := strings.CutPrefix(l, "txn table "); ok {
+			table, _, _ = strings.Cut(rest, ":")
+		}
+		m := entry.FindStringSubmatch(l)
+		if m == nil {
+			continue
+		}
+		if age, _ := strconv.Atoi(m[4]); age > oldest {
+			oldest = age
+			want = fmt.Sprintf("oldest %s #%s %s in %s for %s cycles, origin %s", table, m[1], m[2], m[3], m[4], m[5])
+		}
+	}
+	if oldest < 0 {
+		t.Fatalf("wedged run left no transaction in flight:\n%s", dump.String())
+	}
+	msg := err.Error()
+	for _, part := range []string{
+		"cycle limit 2000 reached",
+		fmt.Sprintf("; %d transactions in flight, ", sys.InFlight()),
+		want,
+	} {
+		if !strings.Contains(msg, part) {
+			t.Errorf("run error %q does not contain %q", msg, part)
+		}
 	}
 }

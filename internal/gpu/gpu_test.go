@@ -225,3 +225,29 @@ func TestConfigDefaultsMatchTable2(t *testing.T) {
 		t.Fatal("fetch mode names collide")
 	}
 }
+
+// TestConcurrentMissesOnOneVPNWalkOnce pins the walk-per-VPN rule the
+// GMMU relies on: every CU misses its L1 TLB on the same page at once,
+// the L2 TLB sees one miss per CU and merges them in its MSHRs, and the
+// GMMU receives exactly one walk.
+func TestConcurrentMissesOnOneVPNWalkOnce(t *testing.T) {
+	e, g, pt := soloGPU(t, Config{})
+	base := uint64(1) << 32
+	mapRange(pt, base, 1)
+	waves := g.Config().NumCUs * g.Config().WavefrontSlots
+	for w := 0; w < waves; w++ {
+		// Distinct lines of one page, so only the translation is shared.
+		g.EnqueueWave(&fixedProgram{accs: []workload.LineAccess{
+			{VAddr: base + uint64(w%64)*64, Bytes: 8},
+		}}, 0)
+	}
+	if _, err := e.RunUntil(g.Idle, 1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g.L2TLB.Stats.Misses.Value(), int64(g.Config().NumCUs); got != want {
+		t.Fatalf("L2 TLB misses = %d, want %d (one per CU)", got, want)
+	}
+	if got := g.GMMU.Stats.Walks.Value(); got != 1 {
+		t.Fatalf("GMMU walks = %d for one VPN, want 1", got)
+	}
+}

@@ -41,7 +41,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"time"
 )
 
@@ -143,10 +143,16 @@ type Engine struct {
 	// (pipeline delays, DRAM latencies, pool deadlines).
 	near []int
 	// hot holds the registration indices of hint-less tickers, which
-	// are due on every processed cycle.
+	// are due on every processed cycle. Registration appends, so it is
+	// sorted.
 	hot []int
 	// due is per-round scratch, reused across rounds.
 	due []int
+	// dueBits is per-round scratch too: one bit per registration index,
+	// set for the armed tickers due this round and cleared as they are
+	// read out in ascending order. Sized to the tickers by the first
+	// round that has to order its due set.
+	dueBits []uint64
 
 	// rounds counts processed tick rounds. The old tick-everything loop
 	// ticked every component once per round, so "ticks seen" was this
@@ -246,6 +252,11 @@ func (e *Engine) Step() bool {
 // round runs one tick round at the current cycle: collect due
 // components, tick them in registration order, re-arm each from its
 // hint.
+//
+// The armed due tickers come off near and the heap in no particular
+// order. A round with one due ticker, or with hot ones only, needs no
+// ordering; otherwise inOrder puts the armed ones in registration order
+// and merges in the hot ones, without sorting.
 func (e *Engine) round() bool {
 	due := e.due[:0]
 	// In-place filter: due entries move to due and disarm; entries
@@ -272,9 +283,11 @@ func (e *Engine) round() bool {
 			e.wakeAt[ent.idx] = CycleMax
 		}
 	}
-	due = append(due, e.hot...)
-	if len(due) > 1 {
-		sort.Ints(due)
+	switch {
+	case len(due) == 0:
+		due = append(due, e.hot...)
+	case len(due)+len(e.hot) > 1:
+		due = e.inOrder(due)
 	}
 	e.due = due
 
@@ -301,6 +314,40 @@ func (e *Engine) round() bool {
 	}
 	e.rounds++
 	return busy
+}
+
+// inOrder returns the armed due indices in armed, which holds each at
+// most once, merged with the hot tickers into ascending registration
+// order. It reuses armed's storage: the indices are marked in dueBits,
+// then read back out of the bitmap word by word, lowest bit first. A
+// hot ticker that was also armed (through its Waker) appears twice, as
+// it is ticked twice.
+func (e *Engine) inOrder(armed []int) []int {
+	if words := (len(e.tickers) + 63) / 64; len(e.dueBits) < words {
+		e.dueBits = make([]uint64, words)
+	}
+	lo, hi := len(e.dueBits), 0
+	for _, idx := range armed {
+		w := idx >> 6
+		e.dueBits[w] |= 1 << (idx & 63)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	out := armed[:0]
+	hot := e.hot
+	for w := lo; w <= hi; w++ {
+		word := e.dueBits[w]
+		e.dueBits[w] = 0
+		for word != 0 {
+			idx := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			for len(hot) > 0 && hot[0] <= idx {
+				out = append(out, hot[0])
+				hot = hot[1:]
+			}
+			out = append(out, idx)
+		}
+	}
+	return append(out, hot...)
 }
 
 // nextDue returns the earliest cycle any component could act, or

@@ -88,45 +88,63 @@ func (s *Sampler) P99() float64 { return s.Percentile(0.99) }
 // for merging into obs aggregates.
 func (s *Sampler) Buckets() obs.LogBuckets { return s.b }
 
-// Histogram is a bucketed distribution over named categories.
+// Histogram is a bucketed distribution over named categories. It
+// keeps its counts in a slice beside the bucket names, in first-seen
+// order; Observe finds a bucket by a linear scan, which beats hashing
+// the name at the handful of buckets a histogram holds.
 type Histogram struct {
-	buckets map[string]int64
-	order   []string
+	names  []string
+	counts []int64
 }
 
-// NewHistogram returns a histogram with the given bucket order (extra
-// buckets observed later are appended).
+// NewHistogram returns a histogram with the given (distinct) bucket
+// order; buckets first observed later are appended.
 func NewHistogram(buckets ...string) *Histogram {
-	h := &Histogram{buckets: make(map[string]int64)}
-	for _, b := range buckets {
-		h.buckets[b] = 0
-		h.order = append(h.order, b)
+	return &Histogram{
+		names:  append([]string(nil), buckets...),
+		counts: make([]int64, len(buckets)),
 	}
-	return h
+}
+
+// index returns the position of the named bucket, or -1.
+func (h *Histogram) index(bucket string) int {
+	for i, name := range h.names {
+		if name == bucket {
+			return i
+		}
+	}
+	return -1
 }
 
 // Observe adds n to the named bucket.
 func (h *Histogram) Observe(bucket string, n int64) {
-	if _, ok := h.buckets[bucket]; !ok {
-		h.order = append(h.order, bucket)
+	if i := h.index(bucket); i >= 0 {
+		h.counts[i] += n
+		return
 	}
-	h.buckets[bucket] += n
+	h.names = append(h.names, bucket)
+	h.counts = append(h.counts, n)
 }
 
 // Merge adds every bucket of o into h, in o's bucket order.
 func (h *Histogram) Merge(o *Histogram) {
-	for _, b := range o.order {
-		h.Observe(b, o.buckets[b])
+	for i, b := range o.names {
+		h.Observe(b, o.counts[i])
 	}
 }
 
 // Get returns the count in a bucket.
-func (h *Histogram) Get(bucket string) int64 { return h.buckets[bucket] }
+func (h *Histogram) Get(bucket string) int64 {
+	if i := h.index(bucket); i >= 0 {
+		return h.counts[i]
+	}
+	return 0
+}
 
 // Total returns the sum over all buckets.
 func (h *Histogram) Total() int64 {
 	var t int64
-	for _, v := range h.buckets {
+	for _, v := range h.counts {
 		t += v
 	}
 	return t
@@ -138,20 +156,20 @@ func (h *Histogram) Share(bucket string) float64 {
 	if t == 0 {
 		return 0
 	}
-	return float64(h.buckets[bucket]) / float64(t)
+	return float64(h.Get(bucket)) / float64(t)
 }
 
 // Buckets returns bucket names in observation order.
-func (h *Histogram) Buckets() []string { return h.order }
+func (h *Histogram) Buckets() []string { return h.names }
 
 // String renders "name=count" pairs for debugging.
 func (h *Histogram) String() string {
 	var b strings.Builder
-	for i, name := range h.order {
+	for i, name := range h.names {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%d", name, h.buckets[name])
+		fmt.Fprintf(&b, "%s=%d", name, h.counts[i])
 	}
 	return b.String()
 }

@@ -52,8 +52,16 @@ func TestHistogram(t *testing.T) {
 	if len(order) != 3 || order[0] != "a" || order[2] != "c" {
 		t.Fatalf("bucket order = %v", order)
 	}
-	if h.String() == "" {
-		t.Fatal("empty String()")
+	if got := h.String(); got != "a=3 b=1 c=6" {
+		t.Fatalf("String() = %q", got)
+	}
+	// Merge appends the buckets h has not seen, in the source's order.
+	o := NewHistogram("d", "a")
+	o.Observe("e", 2)
+	o.Observe("a", 1)
+	h.Merge(o)
+	if got := h.String(); got != "a=4 b=1 c=6 d=0 e=2" {
+		t.Fatalf("merged String() = %q", got)
 	}
 	empty := NewHistogram()
 	if empty.Share("x") != 0 {

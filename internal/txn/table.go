@@ -126,13 +126,8 @@ func (tb *Table) Allocated() int { return tb.allocated }
 // StateCount returns the number of live transactions in a state.
 func (tb *Table) StateCount(s State) int { return tb.counts[s] }
 
-// OldestAge returns the age of the oldest live transaction.
-func (tb *Table) OldestAge(now sim.Cycle) (sim.Cycle, bool) {
-	if tb.head == nil {
-		return 0, false
-	}
-	return now - tb.head.born, true
-}
+// Oldest returns the oldest live transaction, nil when none is live.
+func (tb *Table) Oldest() *Transaction { return tb.head }
 
 // Dump writes the live set: per-stage occupancy, then one line per
 // transaction (oldest first) with its stage ages.
@@ -144,8 +139,8 @@ func (tb *Table) Dump(w io.Writer, now sim.Cycle) {
 			fmt.Fprintf(w, "  stage %-9s %d\n", s.String(), tb.counts[s])
 		}
 	}
-	if age, ok := tb.OldestAge(now); ok {
-		fmt.Fprintf(w, "  oldest %d cycles\n", age)
+	if t := tb.Oldest(); t != nil {
+		fmt.Fprintf(w, "  oldest %d cycles\n", t.Age(now))
 	}
 	for t := tb.head; t != nil; t = t.next {
 		fmt.Fprintf(w, "  #%d %s %s age=%d vaddr=%#x paddr=%#x size=%d origin=gpu%d/cu%d depth=%d [%s]\n",

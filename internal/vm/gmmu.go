@@ -35,7 +35,6 @@ type GMMUStats struct {
 	Walks        stats.Counter
 	WalkAccesses stats.Counter // PTE memory reads issued
 	PWCHits      stats.Counter // levels skipped thanks to the PWC
-	Merged       stats.Counter // translations merged onto an in-flight walk
 	WalkLatency  stats.Sampler
 }
 
@@ -114,20 +113,19 @@ type GMMU struct {
 
 	active  int
 	waiting []*walkReq
-	// merge tracks in-flight walks so duplicate VPNs share one walk.
-	merge map[uint64][]*txn.Transaction
 	// freeReqs recycles per-walk state; walks are bounded by the walker
 	// pool plus the queue, so the free list stays small.
 	freeReqs *walkReq
 }
 
-// walkReq is the per-walk state: the primary transaction plus the walk
-// plan and the serial-step cursor, referenced from the transaction's
-// frames via Ref.
+// walkReq is the per-walk state: the transaction plus the walk plan
+// and the serial-step cursor, referenced from the transaction's frames
+// via Ref. The plan lives inline, so a recycled walkReq walks without
+// allocating.
 type walkReq struct {
 	vpn   uint64
 	t     *txn.Transaction
-	steps []WalkStep
+	steps [Levels]WalkStep
 	idx   int
 	base  uint64
 	start sim.Cycle
@@ -146,7 +144,6 @@ func NewGMMU(name string, cfg GMMUConfig, pt *PageTable, mem PTEReader, sched *s
 		pwc:   newPWC(cfg.PWCEntries),
 		mem:   mem,
 		sched: sched,
-		merge: make(map[uint64][]*txn.Transaction),
 	}
 }
 
@@ -163,16 +160,11 @@ const (
 )
 
 // Translate implements Translator. Requests beyond the walker pool are
-// queued internally, so it always accepts.
+// queued internally, so it always accepts. Every request is a walk of
+// its own: the GMMU does not merge duplicate VPNs, because its one
+// caller, the L2 TLB, already sends one walk per VPN through its MSHRs.
 func (g *GMMU) Translate(tr *txn.Transaction, now sim.Cycle) bool {
-	vpn := VPN(tr.VAddr)
-	if cbs, inflight := g.merge[vpn]; inflight {
-		g.merge[vpn] = append(cbs, tr)
-		g.Stats.Merged.Inc()
-		return true
-	}
-	g.merge[vpn] = nil
-	req := g.newWalkReq(vpn, tr)
+	req := g.newWalkReq(VPN(tr.VAddr), tr)
 	if g.active >= g.cfg.Walkers {
 		g.waiting = append(g.waiting, req)
 		return true
@@ -217,7 +209,7 @@ func (g *GMMU) OnComplete(tr *txn.Transaction, f txn.Frame, at sim.Cycle) {
 }
 
 func (g *GMMU) planWalk(req *walkReq, now sim.Cycle) {
-	steps, base, ok := g.pt.Walk(req.vpn)
+	base, ok := g.pt.Walk(req.vpn, &req.steps)
 	if !ok {
 		panic("vm: page fault — walk of unmapped VPN (loader must premap)")
 	}
@@ -231,7 +223,7 @@ func (g *GMMU) planWalk(req *walkReq, now sim.Cycle) {
 		}
 	}
 	g.Stats.PWCHits.Add(int64(first))
-	req.steps, req.base, req.idx = steps, base, first
+	req.base, req.idx = base, first
 	g.runSteps(req, now)
 }
 
@@ -261,17 +253,11 @@ func (g *GMMU) finishWalk(req *walkReq, now sim.Cycle) {
 	}
 	g.Stats.WalkLatency.Observe(float64(now - req.start))
 	g.ObsWalkLat.Observe(float64(now - req.start))
-	cbs := g.merge[req.vpn]
-	delete(g.merge, req.vpn)
 	tr, base := req.t, req.base
 	*req = walkReq{next: g.freeReqs}
 	g.freeReqs = req
 	tr.Base = base
 	tr.Complete(now)
-	for _, w := range cbs {
-		w.Base = base
-		w.Complete(now)
-	}
 	g.active--
 	if len(g.waiting) > 0 {
 		next := g.waiting[0]

@@ -103,28 +103,31 @@ type WalkStep struct {
 	NodeAddr uint64
 }
 
-// Walk returns the step sequence to translate vpn and the mapped
-// physical page base. ok is false for unmapped addresses.
-func (pt *PageTable) Walk(vpn uint64) (steps []WalkStep, physBase uint64, ok bool) {
+// Walk fills steps with the memory accesses that translate vpn, root
+// level first, and returns the mapped physical page base. The steps
+// live in the caller's array (the GMMU keeps one per recycled walk), so
+// a walk allocates nothing. ok is false for unmapped addresses; steps
+// then holds the accesses down to the missing entry.
+func (pt *PageTable) Walk(vpn uint64, steps *[Levels]WalkStep) (physBase uint64, ok bool) {
 	n := pt.root
 	for level := 0; level < Levels; level++ {
 		idx := levelIndex(vpn, level)
-		steps = append(steps, WalkStep{
+		steps[level] = WalkStep{
 			Addr:     n.addr + uint64(idx*PTEBytes),
 			Level:    level,
 			NodeAddr: n.addr,
-		})
+		}
 		if level == Levels-1 {
 			pb, found := n.ptes[idx]
-			return steps, pb, found
+			return pb, found
 		}
 		child, found := n.children[idx]
 		if !found {
-			return steps, 0, false
+			return 0, false
 		}
 		n = child
 	}
-	return steps, 0, false // unreachable
+	return 0, false // unreachable
 }
 
 // LeafNodeAddr returns the physical base address of the leaf PTE page
@@ -145,7 +148,8 @@ func (pt *PageTable) LeafNodeAddr(vpn uint64) (uint64, bool) {
 // Translate is the zero-latency functional translation (for loaders and
 // checks; timed components use Walk).
 func (pt *PageTable) Translate(vaddr uint64) (uint64, bool) {
-	_, base, ok := pt.Walk(VPN(vaddr))
+	var steps [Levels]WalkStep
+	base, ok := pt.Walk(VPN(vaddr), &steps)
 	if !ok {
 		return 0, false
 	}

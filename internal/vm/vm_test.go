@@ -51,12 +51,10 @@ func TestDoubleMapPanics(t *testing.T) {
 func TestWalkProducesFourSteps(t *testing.T) {
 	pt := NewPageTable(&bumpAlloc{})
 	pt.Map(42, 0x1000, 0)
-	steps, base, ok := pt.Walk(42)
+	var steps [Levels]WalkStep
+	base, ok := pt.Walk(42, &steps)
 	if !ok || base != 0x1000 {
 		t.Fatalf("walk failed: %v %#x", ok, base)
-	}
-	if len(steps) != Levels {
-		t.Fatalf("walk has %d steps, want %d", len(steps), Levels)
 	}
 	for i, s := range steps {
 		if s.Level != i {
@@ -199,24 +197,6 @@ func TestPWCSkipsUpperLevels(t *testing.T) {
 	}
 	if g.Stats.PWCHits.Value() == 0 {
 		t.Fatal("PWC hits not counted")
-	}
-}
-
-func TestGMMUMergesDuplicateVPNs(t *testing.T) {
-	e, g, mem, pt, tb := gmmuRig(DefaultGMMUConfig(), 50)
-	pt.Map(0x300, 0x3000, 0)
-	done := 0
-	for i := 0; i < 5; i++ {
-		g.Translate(transReq(tb, 0x300, func(uint64, sim.Cycle) { done++ }), 0)
-	}
-	if _, err := e.RunUntil(func() bool { return done == 5 }, 10000); err != nil {
-		t.Fatal(err)
-	}
-	if len(mem.reads) != 4 {
-		t.Fatalf("merged walks issued %d reads, want 4 (one walk)", len(mem.reads))
-	}
-	if g.Stats.Merged.Value() != 4 {
-		t.Fatalf("merged = %d, want 4", g.Stats.Merged.Value())
 	}
 }
 
@@ -402,5 +382,47 @@ func TestUnfilledTLBMatchesEmpty(t *testing.T) {
 		if base, ok := lazy.lookup(5); !ok || base != 0x5000 {
 			t.Fatalf("lookup after first insert = %#x,%v", base, ok)
 		}
+	}
+}
+
+// TestPageWalkNoAllocs pins the walk path: PageTable.Walk fills the
+// caller's step array, and a whole GMMU walk (PWC probe, serial PTE
+// reads, completion) allocates nothing once the walk state, the
+// scheduler and the transaction pool have warmed up.
+func TestPageWalkNoAllocs(t *testing.T) {
+	e, g, mem, pt, tb := gmmuRig(DefaultGMMUConfig(), 50)
+	pt.Map(0x100, 0x7000, 0)
+	pt.Map(5<<(2*BitsPerLevel), 0x8000, 0) // a second VPN in another 2MB region
+	var steps [Levels]WalkStep
+	if n := testing.AllocsPerRun(100, func() { pt.Walk(0x100, &steps) }); n != 0 {
+		t.Fatalf("PageTable.Walk allocated %.1f times per walk, want 0", n)
+	}
+	finished := 0
+	done := txn.HandlerFunc(func(tr *txn.Transaction, _ txn.Frame, _ sim.Cycle) {
+		finished++
+		tr.Release()
+	})
+	idle := func() bool { return finished == 2 }
+	walk := func() {
+		finished = 0
+		mem.reads = mem.reads[:0]
+		for _, vpn := range []uint64{0x100, 5 << (2 * BitsPerLevel)} {
+			tr := tb.Acquire(txn.KindRead, e.Now())
+			tr.VAddr = vpn << PageShift
+			tr.Push(done, 0, 0, nil)
+			g.Translate(tr, e.Now())
+		}
+		if _, err := e.RunUntil(idle, e.Now()+100_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 300; i++ { // past the scheduler's first 256 cycles
+		walk()
+	}
+	if n := testing.AllocsPerRun(100, walk); n != 0 {
+		t.Fatalf("a GMMU walk allocated %.1f times, want 0", n)
+	}
+	if len(mem.reads) == 0 || g.Stats.Walks.Value() < 2*401 {
+		t.Fatalf("walks = %d, last reads %d: the pin measured no walk", g.Stats.Walks.Value(), len(mem.reads))
 	}
 }

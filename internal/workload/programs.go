@@ -35,6 +35,7 @@ type streamProgram struct {
 	steps    int
 	compute  int
 	produced int
+	buf      []LineAccess // the Accesses of every Next (see Program)
 }
 
 func newStream(r Region, sliceStart, sliceBytes uint64, lines, steps, compute int, write bool) *streamProgram {
@@ -49,6 +50,7 @@ func newStream(r Region, sliceStart, sliceBytes uint64, lines, steps, compute in
 	return &streamProgram{
 		r: r, base: sliceStart, span: sliceBytes,
 		lines: lines, steps: steps, compute: compute, write: write,
+		buf: make([]LineAccess, 0, lines),
 	}
 }
 
@@ -57,13 +59,13 @@ func (p *streamProgram) Next() (Instr, bool) {
 		return Instr{}, false
 	}
 	p.produced++
-	in := Instr{ComputeCycles: p.compute}
+	p.buf = p.buf[:0]
 	for i := 0; i < p.lines; i++ {
 		off := p.base + (p.pos % p.span)
-		in.Accesses = append(in.Accesses, access(p.r.Base+off, LineBytes, p.write))
+		p.buf = append(p.buf, access(p.r.Base+off, LineBytes, p.write))
 		p.pos += LineBytes
 	}
-	return in, true
+	return Instr{Accesses: p.buf, ComputeCycles: p.compute}, true
 }
 
 // gatherProgram models a strided (column) access: each instruction is
@@ -85,6 +87,7 @@ type gatherProgram struct {
 	produced  int
 	write     bool
 	sweep     bool
+	buf       []LineAccess // the Accesses of every Next (see Program)
 }
 
 // newGather builds a strided access stream. With sweep set, successive
@@ -95,6 +98,7 @@ func newGather(r Region, rowBytes uint64, elemBytes, lines, steps, compute int, 
 	return &gatherProgram{
 		r: r, rowBytes: rowBytes, elemBytes: elemBytes,
 		lines: lines, steps: steps, compute: compute, write: write, sweep: sweep,
+		buf: make([]LineAccess, 0, lines),
 	}
 }
 
@@ -103,13 +107,14 @@ func (p *gatherProgram) Next() (Instr, bool) {
 		return Instr{}, false
 	}
 	p.produced++
-	in := Instr{ComputeCycles: p.compute}
+	p.buf = p.buf[:0]
 	for i := 0; i < p.lines; i++ {
 		row := p.rowBlock*uint64(p.lines) + uint64(i)
 		off := (row*p.rowBytes + p.col*uint64(p.elemBytes)) % p.r.Bytes
 		off = off / uint64(p.elemBytes) * uint64(p.elemBytes) // keep element alignment after wrap
-		in.Accesses = append(in.Accesses, access(p.r.Base+off, p.elemBytes, p.write))
+		p.buf = append(p.buf, access(p.r.Base+off, p.elemBytes, p.write))
 	}
+	in := Instr{Accesses: p.buf, ComputeCycles: p.compute}
 	if !p.sweep {
 		p.rowBlock++
 		return in, true
@@ -135,7 +140,8 @@ type randomProgram struct {
 	compute    int
 	write      bool
 	produced   int
-	base, span uint64 // restriction to [base, base+span) of the region
+	base, span uint64       // restriction to [base, base+span) of the region
+	buf        []LineAccess // the Accesses of every Next (see Program)
 }
 
 func newRandom(r Region, rng *sim.Rand, elemBytes, lines, steps, compute int, write bool) *randomProgram {
@@ -156,6 +162,7 @@ func newRandomSlice(r Region, rng *sim.Rand, elemBytes, lines, steps, compute in
 	return &randomProgram{
 		r: r, rng: rng, elemBytes: elemBytes, lines: lines,
 		steps: steps, compute: compute, write: write, base: base, span: span,
+		buf: make([]LineAccess, 0, lines),
 	}
 }
 
@@ -164,7 +171,7 @@ func (p *randomProgram) Next() (Instr, bool) {
 		return Instr{}, false
 	}
 	p.produced++
-	in := Instr{ComputeCycles: p.compute}
+	p.buf = p.buf[:0]
 	nLines := p.span / LineBytes
 	for i := 0; i < p.lines; i++ {
 		line := p.rng.Uint64n(nLines)
@@ -174,9 +181,9 @@ func (p *randomProgram) Next() (Instr, bool) {
 		}
 		slot := p.rng.Uint64n(slots)
 		addr := p.r.Base + p.base + line*LineBytes + slot*uint64(p.elemBytes)
-		in.Accesses = append(in.Accesses, access(addr, p.elemBytes, p.write))
+		p.buf = append(p.buf, access(addr, p.elemBytes, p.write))
 	}
-	return in, true
+	return Instr{Accesses: p.buf, ComputeCycles: p.compute}, true
 }
 
 // scatterProgram models strided writes (e.g. transposed output): each
@@ -189,6 +196,7 @@ func newScatter(r Region, rowBytes uint64, elemBytes, lines, steps, compute int)
 	return &scatterProgram{g: gatherProgram{
 		r: r, rowBytes: rowBytes, elemBytes: elemBytes,
 		lines: lines, steps: steps, compute: compute, write: true, sweep: true,
+		buf: make([]LineAccess, 0, lines),
 	}}
 }
 

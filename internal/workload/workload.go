@@ -38,6 +38,10 @@ type Instr struct {
 }
 
 // Program generates the instruction stream of one wavefront.
+//
+// The Accesses slice of the Instr that Next returns is valid until the
+// next call to Next: the generators reuse one buffer per program, so a
+// caller that keeps accesses longer copies them out first.
 type Program interface {
 	Next() (Instr, bool)
 }

@@ -294,3 +294,34 @@ func TestAccessesNeverCrossLines(t *testing.T) {
 		}
 	}
 }
+
+// TestProgramNextNoAllocs pins the generators' reused access buffer:
+// past its first instruction, no Table-3 program at Small allocates in
+// Next, whichever phase or interleaved stream produces the instruction.
+func TestProgramNextNoAllocs(t *testing.T) {
+	for _, s := range All(Small()) {
+		for ki, k := range s.Kernels {
+			n := 0
+			for p := k.NewProgram(0, 0, sim.NewRand(5)); ; n++ {
+				if _, ok := p.Next(); !ok {
+					break
+				}
+			}
+			if n < 3 {
+				t.Fatalf("%s/%s: only %d instructions", s.Name, k.Name, n)
+			}
+			p := k.NewProgram(0, 0, sim.NewRand(5))
+			p.Next()
+			// AllocsPerRun adds one warm-up call: n-2 runs end on the
+			// program's last instruction.
+			allocs := testing.AllocsPerRun(n-2, func() {
+				if _, ok := p.Next(); !ok {
+					t.Fatalf("%s kernel %d ran out of instructions", s.Name, ki)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s/%s: Next allocated %.2f times per instruction, want 0", s.Name, k.Name, allocs)
+			}
+		}
+	}
+}
