@@ -236,39 +236,6 @@ func TestReportCSV(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentRunsAtMicroScale smoke-tests each registered
-// experiment end-to-end at the smallest possible scale.
-func TestEveryExperimentRunsAtMicroScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("micro sweep skipped in -short mode")
-	}
-	opt := Options{
-		Scale:     workload.Scale{Steps: 4, CTAs: 4, WavesPerCTA: 1, DataKB: 256, Seed: 1},
-		Workloads: []string{"GUPS"},
-		Limit:     20_000_000,
-	}
-	for _, id := range IDs() {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			rep, err := Run(id, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.ID != id || len(rep.Columns) == 0 || len(rep.Rows) == 0 {
-				t.Fatalf("degenerate report: %+v", rep)
-			}
-			// Every report must render and export.
-			if rep.String() == "" {
-				t.Fatal("empty rendering")
-			}
-			var sb strings.Builder
-			if err := rep.WriteJSON(&sb); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 func TestReportChart(t *testing.T) {
 	rep := &Report{ID: "x", Title: "t", Columns: []string{"a"}, Notes: "n"}
 	rep.AddRow("w1", 2)

@@ -16,11 +16,64 @@ import (
 // means the engine's processed-cycle sequence — and therefore
 // arbitration order — changed; that is a correctness bug, not drift.
 
-// goldenExperiments are the pinned subset: fig3 is the headline
-// network-bound experiment; fig17 is a cheap second opinion exercising
-// a different report shape. The full sweep is pinned offline whenever
-// BENCH_small.json is regenerated.
+// goldenExperiments are the pinned small-scale subset: fig3 is the
+// headline network-bound experiment; fig17 is a cheap second opinion
+// exercising a different report shape. Every experiment is pinned at
+// tiny scale by TestEveryExperimentRunsAtMicroScale, and the whole
+// small sweep by `make sweep-check`.
 var goldenExperiments = []string{"fig3", "fig17"}
+
+// TestEveryExperimentRunsAtMicroScale re-derives every registered
+// experiment at tiny scale and compares its report with its section
+// of results_tiny.txt (`netcrafter-bench -exp all -scale tiny
+// -manifest off -q`) byte for byte, so a change to any experiment's
+// output fails the tier-1 suite. Every registered id needs a section
+// and every section an id. Each report must also export as JSON.
+func TestEveryExperimentRunsAtMicroScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tiny sweep skipped in -short mode")
+	}
+	raw, err := os.ReadFile("../../results_tiny.txt")
+	if err != nil {
+		t.Fatalf("committed tiny sweep missing: %v", err)
+	}
+	txt := string(raw)
+
+	registered := map[string]bool{}
+	for _, id := range IDs() {
+		registered[id] = true
+	}
+	for _, line := range strings.Split(txt, "\n") {
+		if id, ok := strings.CutPrefix(line, "== "); ok {
+			id, _, _ = strings.Cut(id, ":")
+			if !registered[id] {
+				t.Errorf("results_tiny.txt has a section for unregistered experiment %q", id)
+			}
+		}
+	}
+
+	for _, id := range IDs() {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			want := extractSection(txt, id)
+			if want == "" {
+				t.Fatalf("results_tiny.txt has no %s section", id)
+			}
+			rep, err := Run(id, Options{Scale: workload.Tiny()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.String(); got != want {
+				t.Errorf("report diverged from results_tiny.txt:\n--- committed\n%s\n--- got\n%s", want, got)
+			}
+			var sb strings.Builder
+			if err := rep.WriteJSON(&sb); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
 
 func TestGoldenSmallSweepPin(t *testing.T) {
 	if testing.Short() {
