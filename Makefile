@@ -11,7 +11,7 @@ GO ?= go
 
 .PHONY: ci fmt vet build test race benchmark-test bench bench-micro bench-micro-smoke \
 	fuzz-smoke topo-dot docs-check arch-dot sweep-smoke sweep-small \
-	staticcheck timeline-smoke comm-smoke flow-smoke shard-smoke scale-smoke loc
+	staticcheck timeline-smoke comm-smoke flow-smoke shard-smoke scale-smoke loc sweep-check
 
 ci: fmt vet staticcheck build race benchmark-test fuzz-smoke docs-check bench-micro-smoke \
 	sweep-smoke timeline-smoke comm-smoke flow-smoke shard-smoke scale-smoke
@@ -280,6 +280,16 @@ scale-smoke:
 # experiment, writing BENCH_small.json (resumable; see EXPERIMENTS.md).
 sweep-small:
 	$(GO) run ./cmd/netcrafter-bench -exp all -scale small -parallel 8 -resume > results_small.txt
+
+# The committed sweep is current: rerun every experiment at small scale
+# and byte-compare the reports with results_small.txt. Too slow for
+# `make ci` (about 80 s on 2 vCPUs); run it before regenerating
+# BENCH_small.json and whenever a change claims identical outputs.
+sweep-check:
+	$(GO) run ./cmd/netcrafter-bench -exp all -scale small -manifest off -q \
+		> /tmp/netcrafter-sweep-check.txt
+	@cmp /tmp/netcrafter-sweep-check.txt results_small.txt || \
+		{ echo "sweep-check: the small sweep no longer reproduces results_small.txt"; exit 1; }
 
 # Render the 8-GPU / 4-cluster preset as Graphviz dot on stdout
 # (pipe through `dot -Tsvg` to visualize).
