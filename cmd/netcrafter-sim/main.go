@@ -50,8 +50,9 @@
 //
 // -topo replaces the default 4-GPU/2-cluster fabric with a named preset
 // (see -topo-list) or a JSON topology spec file; link bandwidths then
-// come from the graph, so -inter/-intra do not apply. -dot renders the
-// selected topology as Graphviz dot to FILE ("-" = stdout) and exits.
+// come from the graph, so -inter and -intra are rejected with it. -dot
+// renders the selected topology as Graphviz dot to FILE ("-" = stdout)
+// and exits.
 // -topo-info prints the fabric's shape — device/switch/link/cluster
 // counts, boundary links, bandwidth taper points — then builds the
 // system and reports the spliced controller and guarded-link counts,
@@ -105,8 +106,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		cfgSel = fs.String("config", "netcrafter", "baseline | ideal | netcrafter | sector")
 		backF  = fs.String("backend", "cycle", "simulation backend: cycle | flow (flow needs -comm; analytic, no per-flit fidelity)")
 		scale  = fs.String("scale", "small", "tiny | small | medium")
-		inter  = fs.Int("inter", 0, "override inter-cluster GB/s (ignored with -topo)")
-		intra  = fs.Int("intra", 0, "override intra-cluster GB/s (ignored with -topo)")
+		inter  = fs.Int("inter", 0, "override inter-cluster GB/s (not with -topo)")
+		intra  = fs.Int("intra", 0, "override intra-cluster GB/s (not with -topo)")
 		topoF  = fs.String("topo", "", "topology preset name or JSON spec file (see -topo-list)")
 		topoL  = fs.Bool("topo-list", false, "list topology presets and exit")
 		topoI  = fs.Bool("topo-info", false, "print the -topo fabric's shape (nodes, links, taper points, controllers) and exit")
@@ -152,6 +153,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	} {
 		if o.v < 0 {
 			return fail(fmt.Errorf("-%s %v: must not be negative", o.flag, o.v))
+		}
+	}
+	// A topology carries its own link bandwidths; an override would be
+	// silently ignored.
+	for _, flag := range []string{"inter", "intra"} {
+		if v := fs.Lookup(flag).Value.String(); *topoF != "" && v != "0" {
+			return fail(fmt.Errorf("-%s %s: -topo takes link bandwidths from the topology", flag, v))
 		}
 	}
 
@@ -213,7 +221,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		cfg.NetCrafter.PoolingCycles = netcrafter.Cycle(*pool)
 	}
 	if *flitSz > 0 {
-		cfg.NetCrafter.FlitBytes = *flitSz
 		cfg.GPU.FlitBytes = *flitSz
 	}
 	cfg.Seed = *seed

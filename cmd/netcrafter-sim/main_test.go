@@ -73,6 +73,10 @@ func TestRunFlagMatrix(t *testing.T) {
 		{name: "negative flit", args: append(base, "-flit", "-4"), exit: 1, wantErr: []string{"-flit -4"}},
 		{name: "negative inter", args: append(base, "-inter", "-3"), exit: 1, wantErr: []string{"-inter -3"}},
 		{name: "negative intra", args: append(base, "-intra", "-3"), exit: 1, wantErr: []string{"-intra -3"}},
+		{name: "inter with topo", args: append(base, "-topo", "frontier-4x2", "-inter", "32"), exit: 1,
+			wantErr: []string{"-inter 32", "-topo"}},
+		{name: "intra with topo", args: append(base, "-topo", "frontier-4x2", "-intra", "64"), exit: 1,
+			wantErr: []string{"-intra 64", "-topo"}},
 		{name: "negative comm-bytes", args: []string{"-comm", "ring-allreduce", "-scale", "tiny", "-comm-bytes", "-5"}, exit: 1,
 			wantErr: []string{"-comm-bytes -5"}},
 		{name: "negative qps", args: []string{"-comm", "serve-poisson", "-scale", "tiny", "-qps", "-1"}, exit: 1,

@@ -23,21 +23,10 @@ func drive(cfg core.Config, pkts []*flit.Packet, burst bool) []*flit.Flit {
 	pool := flit.NewPool()
 	ctl := core.NewController("demo", 0, 1, cfg, pool)
 	eng.Register("ctl", ctl)
-	var out []*flit.Flit
-	eng.Register("drain", sim.TickerFunc(func(now sim.Cycle) bool {
-		busy := false
-		for {
-			f, ok := ctl.Remote.Out.Pop(now)
-			if !ok {
-				break
-			}
-			out = append(out, f)
-			busy = true
-		}
-		return busy
-	}))
+	wire := &drain{q: ctl.Remote.Out}
+	eng.Register("drain", wire)
 	for _, p := range pkts {
-		for _, f := range pool.Segment(nil, p, cfg.FlitBytes) {
+		for _, f := range pool.Segment(nil, p, flit.DefaultFlitBytes) {
 			ctl.Local.In.Push(f, eng.Now())
 		}
 		if !burst {
@@ -45,8 +34,26 @@ func drive(cfg core.Config, pkts []*flit.Packet, burst bool) []*flit.Flit {
 		}
 	}
 	eng.Run(1000)
-	return out
+	return wire.out
 }
+
+// drain stands in for the inter-cluster link: it collects every flit
+// the controller puts on the wire.
+type drain struct {
+	q   *sim.Queue[*flit.Flit]
+	out []*flit.Flit
+}
+
+func (d *drain) Tick(now sim.Cycle) bool {
+	n := len(d.out)
+	for f, ok := d.q.Pop(now); ok; f, ok = d.q.Pop(now) {
+		d.out = append(d.out, f)
+	}
+	return len(d.out) > n
+}
+
+func (d *drain) NextWake(sim.Cycle) sim.Cycle { return d.q.NextReady() }
+func (d *drain) SetWaker(w *sim.Waker)        { d.q.SetWaker(w) }
 
 var nextID uint64
 

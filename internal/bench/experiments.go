@@ -45,7 +45,6 @@ func sectorCache(granularity int) cluster.Config {
 }
 
 func withFlitSize(c cluster.Config, bytes int) cluster.Config {
-	c.NetCrafter.FlitBytes = bytes
 	c.GPU.FlitBytes = bytes
 	return c
 }

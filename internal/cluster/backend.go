@@ -66,11 +66,9 @@ func RunCommPlan(cfg Config, p *comm.Plan, opt comm.Options, limit sim.Cycle) (*
 		if err != nil {
 			return nil, err
 		}
-		o := opt.WithDefaults()
 		res, err := flow.Run(g, p, flow.Options{
-			FlitBytes:     rcfg.GPU.FlitBytes,
-			LinesPerCycle: o.LinesPerCycle,
-			Start:         o.Start,
+			FlitBytes: rcfg.GPU.FlitBytes,
+			Start:     opt.Start,
 		}, limit)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: comm %s: %w", p.Name, err)

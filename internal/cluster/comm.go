@@ -44,7 +44,6 @@ func (s *System) RunComm(p *comm.Plan, opt comm.Options, limit sim.Cycle) (*comm
 	if p.GPUs > len(s.GPUs) {
 		return nil, fmt.Errorf("cluster: plan %q needs %d GPUs, system has %d", p.Name, p.GPUs, len(s.GPUs))
 	}
-	opt = opt.WithDefaults()
 	opt.Start = s.Engine.Now()
 	opt.AddrOf = commAddr
 	if s.obsReg != nil && opt.Hist == nil {

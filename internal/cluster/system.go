@@ -140,9 +140,6 @@ func (c Config) resolve() (Config, *topo.Graph, error) {
 		c = Baseline()
 	}
 	if c.GPU.FlitBytes == 0 {
-		c.GPU.FlitBytes = c.NetCrafter.FlitBytes
-	}
-	if c.GPU.FlitBytes == 0 {
 		c.GPU.FlitBytes = flit.DefaultFlitBytes
 	}
 	if c.GPU.FlitBytes <= flit.StitchMetaBytes {
@@ -385,8 +382,6 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 		return sw.Ports()[idx]
 	}
 
-	ncCfg := cfg.NetCrafter
-	ncCfg.FlitBytes = cfg.GPU.FlitBytes
 	remoteClusters := s.nClusters - 1
 	ctlPerCluster := map[int]int{}
 	// ctlShard[i] is the owning shard of s.Controllers[i] (the shard of
@@ -412,7 +407,7 @@ func build(cfg Config, g *topo.Graph) (*System, error) {
 			ctlName = fmt.Sprintf("%s.%d", base, k)
 			portName = fmt.Sprintf("%s.nc%d", swName, k)
 		}
-		cc := ncCfg
+		cc := cfg.NetCrafter
 		cc.EjectRate = egressRate
 		sh := plan.Of(cluster)
 		ctl := core.NewController(ctlName, flit.ClusterID(cluster), remoteClusters, cc, s.pools[sh])

@@ -30,9 +30,6 @@ func legacyNew(cfg Config) *System {
 		cfg = Baseline()
 	}
 	if cfg.GPU.FlitBytes == 0 {
-		cfg.GPU.FlitBytes = cfg.NetCrafter.FlitBytes
-	}
-	if cfg.GPU.FlitBytes == 0 {
 		cfg.GPU.FlitBytes = flit.DefaultFlitBytes
 	}
 	eng, sched := sim.NewEngine(), sim.NewScheduler()
@@ -77,7 +74,6 @@ func legacyNew(cfg Config) *System {
 	}
 
 	ncCfg := cfg.NetCrafter
-	ncCfg.FlitBytes = flitBytes
 	ncCfg.EjectRate = interRate
 	for c := 0; c < nClusters; c++ {
 		ctl := core.NewController(fmt.Sprintf("nc%d", c), flit.ClusterID(c), nClusters-1, ncCfg, s.pools[0])

@@ -20,15 +20,18 @@ import (
 // bulk-synchronous barrier of collective plans — and the per-request
 // completion state of open-loop plans.
 
-// Options tunes plan execution and wires it into the host system.
+// LinesPerCycle caps line writes one injector issues per cycle — the
+// NIC-side packetization rate (2 lines/cycle = 128 B/cycle = 128 GB/s
+// at the 1 GHz clock, matching the intra-cluster tier). The flow
+// backend caps each source's injection at the same rate.
+const LinesPerCycle = 2
+
+// window caps unacknowledged line writes per injector (the posted-write
+// window; acknowledgments open it back up).
+const window = 64
+
+// Options wires plan execution into the host system.
 type Options struct {
-	// LinesPerCycle caps line writes one injector issues per cycle —
-	// the NIC-side packetization rate (2 lines/cycle = 128 B/cycle =
-	// 128 GB/s at the 1 GHz clock, matching the intra-cluster tier).
-	LinesPerCycle int
-	// Window caps unacknowledged line writes per injector (the posted-
-	// write window; acknowledgments open it back up).
-	Window int
 	// Start is the engine cycle corresponding to plan time 0 (the
 	// runner stamps it; plans themselves are relative).
 	Start sim.Cycle
@@ -43,17 +46,6 @@ type Options struct {
 	// completion interval as a timeline dwell, so request lifecycles
 	// line up with link utilization in trace exports.
 	Dwell *timeline.Track
-}
-
-// WithDefaults fills unset knobs.
-func (o Options) WithDefaults() Options {
-	if o.LinesPerCycle <= 0 {
-		o.LinesPerCycle = 2
-	}
-	if o.Window <= 0 {
-		o.Window = 64
-	}
-	return o
 }
 
 // Tracker is the shared run state of one executing plan: the global
@@ -195,8 +187,8 @@ func (tk *Tracker) Result() *Result {
 // its transactions; Arg is the send's index in its sequence.
 const injectorRole uint16 = 0
 
-// Injector drives one GPU's share of a plan. It implements sim.Ticker,
-// sim.WakeHinter, sim.WakerAware and txn.Handler.
+// Injector drives one GPU's share of a plan. It implements sim.Ticker
+// and txn.Handler.
 type Injector struct {
 	gpuID   int
 	tracker *Tracker
@@ -246,7 +238,7 @@ func NewInjector(gpuID int, p *Plan, tk *Tracker, r *gpu.RDMA, tbl *txn.Table, o
 	return inj
 }
 
-// SetWaker implements sim.WakerAware; the tracker also keeps the waker
+// SetWaker implements sim.Ticker; the tracker also keeps the waker
 // so step-frontier advances re-arm barrier-blocked injectors.
 func (inj *Injector) SetWaker(w *sim.Waker) {
 	inj.waker = w
@@ -261,7 +253,7 @@ func (inj *Injector) Tick(now sim.Cycle) bool {
 		return false
 	}
 	busy := false
-	budget := inj.opt.LinesPerCycle
+	budget := LinesPerCycle
 	for budget > 0 && inj.next < len(inj.sends) {
 		s := &inj.sends[inj.next]
 		if s.Step > inj.tracker.Frontier() {
@@ -279,7 +271,7 @@ func (inj *Injector) Tick(now sim.Cycle) bool {
 			busy = true
 			continue
 		}
-		if inj.inflight >= inj.opt.Window {
+		if inj.inflight >= window {
 			break // window full: the next acknowledgment reopens it
 		}
 		line := s.Bytes - inj.offset
@@ -310,7 +302,7 @@ func (inj *Injector) Tick(now sim.Cycle) bool {
 	return busy
 }
 
-// NextWake implements sim.WakeHinter. Blocked states return CycleMax:
+// NextWake implements sim.Ticker. Blocked states return CycleMax:
 // the unblocking event (an acknowledgment via OnComplete, a frontier
 // advance via the tracker) wakes the injector explicitly.
 func (inj *Injector) NextWake(now sim.Cycle) sim.Cycle {
@@ -327,7 +319,7 @@ func (inj *Injector) NextWake(now sim.Cycle) sim.Cycle {
 	if s.Step > inj.tracker.Frontier() {
 		return sim.CycleMax
 	}
-	if s.Src != s.Dst && inj.inflight >= inj.opt.Window {
+	if s.Src != s.Dst && inj.inflight >= window {
 		return sim.CycleMax
 	}
 	if at := inj.opt.Start + s.At; at > now {

@@ -61,6 +61,9 @@ func (d drainSink) Tick(now sim.Cycle) bool {
 	}
 }
 
+func (d drainSink) NextWake(sim.Cycle) sim.Cycle { return d.ctl.Remote.Out.NextReady() }
+func (d drainSink) SetWaker(w *sim.Waker)        { d.ctl.Remote.Out.SetWaker(w) }
+
 func (d drainSink) arrive(p *flit.Packet, used int) {
 	if p.Arrive(used) {
 		d.pool.ReleasePacket(p)

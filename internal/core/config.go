@@ -53,10 +53,17 @@ const (
 	ScopeSamePartition
 )
 
-// Config controls one NetCrafter controller instance.
+// stitchSearchWindow bounds how many entries per partition the stitch
+// engine can examine in one attempt — a combinational search over the
+// whole 1024-entry queue is not implementable, so candidates beyond the
+// window are invisible until the queue drains (this is what makes Flit
+// Pooling productive: a pooled flit re-attempts against later windows).
+// The Fig-8 data-first control looks no deeper.
+const stitchSearchWindow = 8
+
+// Config controls one NetCrafter controller instance. It carries no
+// flit size: the controller reads each flit's own.
 type Config struct {
-	// FlitBytes is the network flit size (16 baseline, 8 in Fig 21).
-	FlitBytes int
 	// EnableStitch turns the stitch engine on.
 	EnableStitch bool
 	// EnableTrim turns the trim engine on.
@@ -74,13 +81,6 @@ type Config struct {
 	SelectivePooling bool
 	// StitchScope is the candidate search breadth.
 	StitchScope StitchScope
-	// StitchSearchWindow bounds how many entries per partition the
-	// stitch engine can examine in one attempt — a combinational
-	// search over the whole 1024-entry queue is not implementable, so
-	// candidates beyond the window are invisible until the queue
-	// drains (this is what makes Flit Pooling productive: a pooled
-	// flit re-attempts against later windows). 0 means 8.
-	StitchSearchWindow int
 	// CQEntries is the total cluster-queue capacity in flits
 	// (Table 2: 1024 entries of 16B, equally partitioned per
 	// destination cluster).
@@ -92,10 +92,9 @@ type Config struct {
 
 // Baseline returns the controller configuration of the paper's final
 // design: Stitching with 32-cycle Selective Flit Pooling, Trimming,
-// and PTW Sequencing, on 16-byte flits.
+// and PTW Sequencing.
 func Baseline() Config {
 	return Config{
-		FlitBytes:        16,
 		EnableStitch:     true,
 		EnableTrim:       true,
 		Sequencing:       SeqPTW,
@@ -111,21 +110,15 @@ func Baseline() Config {
 // the controller degenerates to a FIFO, which is the paper's baseline
 // non-uniform configuration.
 func Passthrough() Config {
-	return Config{FlitBytes: 16, CQEntries: 1024, EjectRate: 1}
+	return Config{CQEntries: 1024, EjectRate: 1}
 }
 
 func (c Config) withDefaults() Config {
-	if c.FlitBytes == 0 {
-		c.FlitBytes = 16
-	}
 	if c.CQEntries == 0 {
 		c.CQEntries = 1024
 	}
 	if c.EjectRate == 0 {
 		c.EjectRate = 1
-	}
-	if c.StitchSearchWindow == 0 {
-		c.StitchSearchWindow = 8
 	}
 	return c
 }

@@ -415,7 +415,7 @@ func (c *Controller) pickPriority(now sim.Cycle) *partition {
 // per PTW flit observed). It reports whether a flit was ejected.
 func (c *Controller) ejectDataFirst(now sim.Cycle) bool {
 	for _, p := range c.parts {
-		for i := 0; i < p.q.Len() && i < c.cfg.StitchSearchWindow; i++ {
+		for i := 0; i < p.q.Len() && i < stitchSearchWindow; i++ {
 			if p.q.ReadyAt(i) > now {
 				break
 			}
@@ -553,7 +553,7 @@ func (c *Controller) stitchInto(parent *flit.Flit, own *partition, now sim.Cycle
 			}
 		}
 		i := 0
-		for i < p.q.Len() && i < c.cfg.StitchSearchWindow {
+		for i < p.q.Len() && i < stitchSearchWindow {
 			if p.q.ReadyAt(i) > now {
 				break
 			}
@@ -615,7 +615,7 @@ func (c *Controller) QueuedFlits() int {
 	return n
 }
 
-// SetWaker implements sim.WakerAware: deliveries into either external
+// SetWaker implements sim.Ticker: deliveries into either external
 // input (from the cluster switch or the inter-cluster link) re-arm the
 // controller. The partition queues and the pooling deadline are fed
 // only from the controller's own tick, so NextWake re-arming covers
@@ -625,7 +625,7 @@ func (c *Controller) SetWaker(w *sim.Waker) {
 	c.Remote.In.SetWaker(w)
 }
 
-// NextWake implements sim.WakeHinter.
+// NextWake implements sim.Ticker.
 func (c *Controller) NextWake(now sim.Cycle) sim.Cycle {
 	wake := sim.CycleMax
 	min := func(x sim.Cycle) {

@@ -121,9 +121,7 @@ func TestStitchedFlitNeverOverflowsOnWire(t *testing.T) {
 }
 
 func TestEightByteFlits(t *testing.T) {
-	cfg := Baseline()
-	cfg.FlitBytes = 8
-	h := newHarness(cfg)
+	h := newHarness(Baseline())
 	p := pkt(flit.ReadRsp, 1)
 	h.inject(segment(p, 8)...)
 	h.run(500)

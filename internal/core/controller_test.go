@@ -9,6 +9,7 @@ import (
 
 // harness wires a controller between an injector (pushing into
 // Local.In) and a collector popping Remote.Out, plus the reverse path.
+// The harness itself is the collector's ticker.
 type harness struct {
 	e    *sim.Engine
 	pool *flit.Pool // the controller's pool
@@ -25,27 +26,39 @@ func newHarness(cfg Config) *harness {
 		ctl:  NewController("ctl", 0, 1, cfg, pool),
 	}
 	h.e.Register("ctl", h.ctl)
-	h.e.Register("drain", sim.TickerFunc(func(now sim.Cycle) bool {
-		busy := false
-		for {
-			f, ok := h.ctl.Remote.Out.Pop(now)
-			if !ok {
-				break
-			}
-			h.out = append(h.out, f)
-			busy = true
-		}
-		for {
-			f, ok := h.ctl.Local.Out.Pop(now)
-			if !ok {
-				break
-			}
-			h.back = append(h.back, f)
-			busy = true
-		}
-		return busy
-	}))
+	h.e.Register("drain", h)
 	return h
+}
+
+// Tick collects every flit the controller put on either output.
+func (h *harness) Tick(now sim.Cycle) bool {
+	busy := false
+	for {
+		f, ok := h.ctl.Remote.Out.Pop(now)
+		if !ok {
+			break
+		}
+		h.out = append(h.out, f)
+		busy = true
+	}
+	for {
+		f, ok := h.ctl.Local.Out.Pop(now)
+		if !ok {
+			break
+		}
+		h.back = append(h.back, f)
+		busy = true
+	}
+	return busy
+}
+
+func (h *harness) NextWake(sim.Cycle) sim.Cycle {
+	return min(h.ctl.Remote.Out.NextReady(), h.ctl.Local.Out.NextReady())
+}
+
+func (h *harness) SetWaker(w *sim.Waker) {
+	h.ctl.Remote.Out.SetWaker(w)
+	h.ctl.Local.Out.SetWaker(w)
 }
 
 func (h *harness) inject(fs ...*flit.Flit) {
@@ -442,7 +455,7 @@ func TestConservationThroughController(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.FlitBytes != 16 || c.CQEntries != 1024 || c.EjectRate != 1 {
+	if c.CQEntries != 1024 || c.EjectRate != 1 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	if Baseline().PoolingCycles != 32 || !Baseline().SelectivePooling {

@@ -15,16 +15,17 @@ import (
 type Config struct {
 	BytesPerCycle int
 	Latency       sim.Cycle
-	QueueDepth    int // pending request limit (0 = unbounded)
 }
 
 // DefaultConfig returns the paper's HBM parameters.
 func DefaultConfig() Config {
-	return Config{BytesPerCycle: 1024, Latency: 100, QueueDepth: 0}
+	return Config{BytesPerCycle: 1024, Latency: 100}
 }
 
 // DRAM services transactions FIFO at the configured bandwidth,
-// completing each Latency cycles after its data slot finishes. The
+// completing each Latency cycles after its data slot finishes. Its
+// request queue is unbounded: every request is admitted, and bus
+// contention shows up as queueing delay. The
 // transfer is described by the transaction's Mem descriptor; the
 // transaction Completes exactly once when the data has been
 // transferred (reads) or accepted (writes).
@@ -59,22 +60,19 @@ func New(name string, cfg Config, sched *sim.Scheduler) *DRAM {
 	return &DRAM{
 		Name:  name,
 		cfg:   cfg,
-		q:     sim.NewQueue[*txn.Transaction](cfg.QueueDepth, 1),
+		q:     sim.NewQueue[*txn.Transaction](0, 1),
 		sched: sched,
 	}
 }
 
-// Access enqueues a transaction whose Mem descriptor is filled in. It
-// reports false when the queue is full (caller retries).
-func (d *DRAM) Access(t *txn.Transaction, now sim.Cycle) bool {
+// Access enqueues a transaction whose Mem descriptor is filled in. The
+// queue is unbounded, so Access always admits.
+func (d *DRAM) Access(t *txn.Transaction, now sim.Cycle) {
 	if t.Mem.Bytes <= 0 {
 		panic("dram: request with no bytes")
 	}
-	if !d.q.Push(t, now) {
-		return false
-	}
+	d.q.Push(t, now)
 	t.SetState(txn.StateDRAM, now)
-	return true
 }
 
 // Tick implements sim.Ticker: admit queued requests to the data bus.
@@ -113,12 +111,12 @@ func (d *DRAM) Tick(now sim.Cycle) bool {
 	return busy
 }
 
-// SetWaker implements sim.WakerAware: Access is called from the memory
+// SetWaker implements sim.Ticker: Access is called from the memory
 // partitions' scheduler callbacks, so a sleeping DRAM must be re-armed
 // when a request lands in its queue.
 func (d *DRAM) SetWaker(w *sim.Waker) { d.q.SetWaker(w) }
 
-// NextWake implements sim.WakeHinter.
+// NextWake implements sim.Ticker.
 func (d *DRAM) NextWake(now sim.Cycle) sim.Cycle {
 	next := d.q.NextReady()
 	if next == sim.CycleMax {
@@ -130,6 +128,3 @@ func (d *DRAM) NextWake(now sim.Cycle) sim.Cycle {
 	}
 	return next
 }
-
-// Pending returns the number of queued (not yet admitted) requests.
-func (d *DRAM) Pending() int { return d.q.Len() }

@@ -21,8 +21,6 @@ type Flit struct {
 	// by the NetCrafter stitch engine.
 	Stitched []StitchItem
 
-	// InjectedAt is when the flit entered the network (stats).
-	InjectedAt sim.Cycle
 	// CtlArrivedAt is when the flit entered a NetCrafter controller's
 	// cluster queue (stats; set by the controller).
 	CtlArrivedAt sim.Cycle

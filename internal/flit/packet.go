@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"netcrafter/internal/obs"
-	"netcrafter/internal/sim"
 	"netcrafter/internal/txn"
 )
 
@@ -131,9 +130,6 @@ type Packet struct {
 	// requesting wavefront actually needs (after coalescing); it drives
 	// trim eligibility and the Fig-7 characterization.
 	RequiredBytesHint int
-
-	// CreatedAt is the injection cycle, used for latency accounting.
-	CreatedAt sim.Cycle
 
 	// TraceID links the packets of one logical transaction: a response
 	// inherits the TraceID of the request it answers, so offline span

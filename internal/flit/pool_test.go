@@ -58,7 +58,7 @@ func TestPoolRecyclesFlitsAndPackets(t *testing.T) {
 		t.Fatalf("released packet not reissued clean: %+v", q)
 	}
 	g := pl.Segment(nil, q, 16)[0]
-	if g.Pkt != q || g.Seq != 0 || !g.Last || len(g.Stitched) != 0 || g.InjectedAt != 0 {
+	if g.Pkt != q || g.Seq != 0 || !g.Last || len(g.Stitched) != 0 || g.CtlArrivedAt != 0 {
 		t.Fatalf("reissued flit not clean: %+v", g)
 	}
 	if !slices.Contains(fl, g) {

@@ -12,7 +12,7 @@
 // A topology graph compiles (NewNetwork) into directed wire segments —
 // one per link direction, capacity = flits/cycle x flit bytes — plus
 // one injection segment per device modeling the source's
-// LinesPerCycle packetization cap, and one route from every switch
+// comm.LinesPerCycle packetization cap, and one route from every switch
 // that has devices attached to every device (the same BFS next-hop
 // tables the cycle engine installs in its switches). Every send of a
 // plan becomes a flow over its source's uplink plus its source
@@ -38,7 +38,7 @@
 // No per-flit arbitration or queueing jitter, no NetCrafter
 // controller microbehavior (stitching, trimming, pooling, PTW
 // sequencing — boundary links carry raw graph rates), no posted-write
-// window (comm.Options.Window; never the binding constraint at
+// window (the injector's 64 lines; never the binding constraint at
 // default parameters), and no per-injector issue-order serialization
 // within a step. Memory-trace workloads cannot run at flow level at
 // all — their per-access cache/VM behavior is the signal. The bench

@@ -11,35 +11,21 @@ import (
 
 // Options tunes the analytic model. The zero value selects the same
 // defaults the cycle engine uses, so a flow run is directly comparable
-// to a cycle run of the same plan.
+// to a cycle run of the same plan. Each source injects at most
+// comm.LinesPerCycle line writes per cycle, as the cycle backend's
+// injectors do.
 type Options struct {
 	// FlitBytes is the wire flit slot size; packet headers and payloads
 	// are rounded up to whole flits exactly as segmentation would
 	// (default flit.DefaultFlitBytes).
 	FlitBytes int
-	// LinesPerCycle caps each source's injection rate in line writes
-	// per cycle, matching comm.Options.LinesPerCycle (default 2).
-	LinesPerCycle int
-	// HopCycles is the per-switch processing latency added on top of
-	// each traversed link's propagation latency (default 1).
-	HopCycles sim.Cycle
 	// Start is the cycle corresponding to plan time 0.
 	Start sim.Cycle
 }
 
-// WithDefaults fills unset knobs.
-func (o Options) WithDefaults() Options {
-	if o.FlitBytes <= 0 {
-		o.FlitBytes = flit.DefaultFlitBytes
-	}
-	if o.LinesPerCycle <= 0 {
-		o.LinesPerCycle = 2
-	}
-	if o.HopCycles <= 0 {
-		o.HopCycles = 1
-	}
-	return o
-}
+// hopCycles is the per-switch processing latency added on top of each
+// traversed link's propagation latency.
+const hopCycles = 1
 
 // Network is the analytic form of a validated topology graph: one
 // capacity-annotated segment per link direction plus one injection
@@ -98,7 +84,9 @@ func (n *Network) rtt(src, dst int, lg legs) float64 {
 // routes to every device. Compilation walks one route per (device-bearing
 // switch, destination device), not one per device pair.
 func NewNetwork(g *topo.Graph, opt Options) (*Network, error) {
-	opt = opt.WithDefaults()
+	if opt.FlitBytes <= 0 {
+		opt.FlitBytes = flit.DefaultFlitBytes
+	}
 	rt, err := g.Routes()
 	if err != nil {
 		return nil, err
@@ -134,7 +122,7 @@ func NewNetwork(g *topo.Graph, opt Options) (*Network, error) {
 	}
 	n.injBase = len(n.cap)
 	for d := range g.Devices {
-		n.cap = append(n.cap, float64(opt.LinesPerCycle)*comm.LineBytes)
+		n.cap = append(n.cap, comm.LinesPerCycle*comm.LineBytes)
 		n.upLat[d] = segLat(n.up[d])
 	}
 
@@ -171,7 +159,6 @@ func NewNetwork(g *topo.Graph, opt Options) (*Network, error) {
 	n.routeOff = make([]int32, 1, nRoutes+1)
 	n.routeLat = make([]float64, 0, nRoutes)
 	n.arena = make([]int32, 0, 4*nRoutes)
-	hopLat := float64(opt.HopCycles)
 	for _, d0 := range rowDev {
 		for t := 0; t < nDev; t++ {
 			lat := 0.0
@@ -182,7 +169,7 @@ func NewNetwork(g *topo.Graph, opt Options) (*Network, error) {
 				}
 				sg := nextSeg[s*nDev+t]
 				n.arena = append(n.arena, sg)
-				lat += hopLat + segLat(sg)
+				lat += hopCycles + segLat(sg)
 				if segHead[sg] == int32(t) {
 					break
 				}

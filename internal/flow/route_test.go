@@ -27,7 +27,7 @@ type oracleSeg struct {
 	lat float64
 }
 
-func newOracle(t *testing.T, g *topo.Graph, opt Options) *oracle {
+func newOracle(t *testing.T, g *topo.Graph) *oracle {
 	t.Helper()
 	rt, err := g.Routes()
 	if err != nil {
@@ -38,7 +38,7 @@ func newOracle(t *testing.T, g *topo.Graph, opt Options) *oracle {
 		hops:   make(map[string]map[string]string, len(g.Switches)),
 		segOf:  make(map[[2]string]oracleSeg, 2*len(g.Links)),
 		attach: make(map[string]string, len(g.Devices)),
-		hopLat: float64(opt.WithDefaults().HopCycles),
+		hopLat: hopCycles,
 	}
 	for s, sw := range g.Switches {
 		m := make(map[string]string, len(g.Devices))
@@ -107,7 +107,7 @@ func checkRoutesMatchOracle(t *testing.T, g *topo.Graph) {
 	if err != nil {
 		t.Fatalf("%s: NewNetwork: %v", g.Name, err)
 	}
-	o := newOracle(t, g, Options{})
+	o := newOracle(t, g)
 	var fwd, rev []int32
 	for src := range g.Devices {
 		for dst := range g.Devices {

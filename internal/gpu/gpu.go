@@ -190,11 +190,10 @@ type pteRouter struct {
 	g *GPU
 }
 
-func (p *pteRouter) ReadPTE(t *txn.Transaction, addr uint64, now sim.Cycle) bool {
+func (p *pteRouter) ReadPTE(t *txn.Transaction, addr uint64, now sim.Cycle) {
 	if p.g.topo.HomeGPU(addr) == p.g.ID {
 		p.g.Mem.ReadLine(t, addr, now)
-		return true
+		return
 	}
 	p.g.RDMA.ReadPTERemote(t, addr, now)
-	return true
 }

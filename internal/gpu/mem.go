@@ -82,14 +82,10 @@ const (
 	memRoleReadLookup
 	// memRoleDRAMFill — DRAM returned the line; install it in the bank.
 	memRoleDRAMFill
-	// memRoleFetchRetry — the DRAM queue rejected the fetch; re-offer.
-	memRoleFetchRetry
 	// memRoleWriteLookup — the L2 lookup latency elapsed for a write.
 	memRoleWriteLookup
 	// memRoleWBDone — a victim write-back drained into DRAM.
 	memRoleWBDone
-	// memRoleWBRetry — the DRAM queue rejected the write-back; re-offer.
-	memRoleWBRetry
 )
 
 // OnComplete implements txn.Handler.
@@ -107,20 +103,16 @@ func (m *MemPartition) OnComplete(t *txn.Transaction, f txn.Frame, at sim.Cycle)
 			m.dramWrite(ev.LineAddr, at)
 		}
 		t.Complete(at)
-	case memRoleFetchRetry:
-		m.fetchFromDRAM(t, f.Arg, at)
 	case memRoleWriteLookup:
 		m.writeLookup(t, f.Arg, at)
 	case memRoleWBDone:
 		t.Release()
-	case memRoleWBRetry:
-		m.issueWriteback(t, f.Arg, at)
 	}
 }
 
 // ReadLine fetches the full cache line containing paddr through the L2
 // bank (fills on miss from DRAM); t completes when the line is
-// available. Always accepts (DRAM queue is unbounded by default; bank
+// available. Always accepts (the DRAM queue is unbounded; bank
 // contention is modeled as queueing delay on bankFree).
 func (m *MemPartition) ReadLine(t *txn.Transaction, paddr uint64, now sim.Cycle) {
 	m.Reads.Inc()
@@ -153,11 +145,7 @@ func (m *MemPartition) fetchFromDRAM(t *txn.Transaction, la uint64, now sim.Cycl
 	m.DRAMFetches.Inc()
 	t.Mem = txn.MemOp{Addr: la, Bytes: m.cfg.L2Bank.LineBytes}
 	t.Push(m, memRoleDRAMFill, la, nil)
-	if !m.dram.Access(t, now) {
-		t.Drop()
-		t.Push(m, memRoleFetchRetry, la, nil)
-		t.CompleteAfter(m.sched, now, 4)
-	}
+	m.dram.Access(t, now)
 }
 
 // dramWrite flushes a dirty line to DRAM under its own pooled
@@ -168,16 +156,8 @@ func (m *MemPartition) dramWrite(la uint64, now sim.Cycle) {
 	w.PAddr = la
 	w.OriginGPU = m.gpuID
 	w.Mem = txn.MemOp{Addr: la, Bytes: m.cfg.L2Bank.LineBytes, Write: true}
-	m.issueWriteback(w, la, now)
-}
-
-func (m *MemPartition) issueWriteback(w *txn.Transaction, la uint64, now sim.Cycle) {
 	w.Push(m, memRoleWBDone, 0, nil)
-	if !m.dram.Access(w, now) {
-		w.Drop()
-		w.Push(m, memRoleWBRetry, la, nil)
-		w.CompleteAfter(m.sched, now, 4)
-	}
+	m.dram.Access(w, now)
 }
 
 // WriteLine performs a store of the line containing paddr: write-back

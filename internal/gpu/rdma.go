@@ -122,7 +122,6 @@ func (r *RDMA) newPacket(t flit.Type, dst flit.DeviceID, dstGPU int, addr uint64
 		SrcCluster: r.topo.ClusterOf(r.gpuID),
 		DstCluster: r.topo.ClusterOf(dstGPU),
 		Addr:       addr,
-		CreatedAt:  now,
 	})
 	p.TraceID = p.ID
 	p.Span = r.Spans.Start(p.ID, p.TraceID, t.String(), int(r.dev), int(dst), now)
@@ -322,7 +321,6 @@ func (r *RDMA) Tick(now sim.Cycle) bool {
 			break
 		}
 		r.sendQ.PopReady() // readiness established by Peek above
-		f.InjectedAt = now
 		f.Pkt.Span.To(obs.StageSrcNet, now)
 		r.Port.Out.Push(f, now)
 		busy = true
@@ -330,7 +328,7 @@ func (r *RDMA) Tick(now sim.Cycle) bool {
 	return busy
 }
 
-// SetWaker implements sim.WakerAware: arrivals on the network port and
+// SetWaker implements sim.Ticker: arrivals on the network port and
 // sends enqueued by scheduler-driven protocol handlers (request
 // issues, response builds) both re-arm the engine.
 func (r *RDMA) SetWaker(w *sim.Waker) {
@@ -338,7 +336,7 @@ func (r *RDMA) SetWaker(w *sim.Waker) {
 	r.sendQ.SetWaker(w)
 }
 
-// NextWake implements sim.WakeHinter.
+// NextWake implements sim.Ticker.
 func (r *RDMA) NextWake(now sim.Cycle) sim.Cycle {
 	a, b := r.Port.In.NextReady(), r.sendQ.NextReady()
 	if a < b {
@@ -405,7 +403,6 @@ func (r *RDMA) newResponse(t flit.Type, req *flit.Packet, now sim.Cycle) *flit.P
 		SrcCluster: r.topo.ClusterOf(r.gpuID),
 		DstCluster: req.SrcCluster,
 		Addr:       req.Addr,
-		CreatedAt:  now,
 		Txn:        req.Txn,
 	})
 	p.TraceID = req.TraceID

@@ -98,12 +98,12 @@ func (h *HalfLink) Tick(now sim.Cycle) bool {
 	return moved
 }
 
-// SetWaker implements sim.WakerAware: pushes into the source port's Out
+// SetWaker implements sim.Ticker: pushes into the source port's Out
 // queue re-arm this half. (The serial Link also woke on peer-side
 // pushes, but ticking this direction then was a guaranteed no-op.)
 func (h *HalfLink) SetWaker(w *sim.Waker) { h.src.Out.SetWaker(w) }
 
-// NextWake implements sim.WakeHinter.
+// NextWake implements sim.Ticker.
 func (h *HalfLink) NextWake(now sim.Cycle) sim.Cycle { return h.src.Out.NextReady() }
 
 // TakeBatch returns the flits staged since the last call and resets the

@@ -84,7 +84,7 @@ func (l *Link) move(now sim.Cycle, src, dst *Port, rate int, st *stats.LinkStats
 	return moved
 }
 
-// SetWaker implements sim.WakerAware: pushes into either endpoint's
+// SetWaker implements sim.Ticker: pushes into either endpoint's
 // Out queue (by the switch, RDMA engine, controller, or test code)
 // re-arm the link.
 func (l *Link) SetWaker(w *sim.Waker) {
@@ -92,7 +92,7 @@ func (l *Link) SetWaker(w *sim.Waker) {
 	l.B.Out.SetWaker(w)
 }
 
-// NextWake implements sim.WakeHinter.
+// NextWake implements sim.Ticker.
 func (l *Link) NextWake(now sim.Cycle) sim.Cycle {
 	a, b := l.A.Out.NextReady(), l.B.Out.NextReady()
 	if a < b {

@@ -40,14 +40,13 @@ type Switch struct {
 	granted []int // per-tick scratch, reused across cycles
 	// routes[d] is the port flits for device d leave on (see SetRoutes).
 	routes []int32
-	rrNext int
-	// waker is the engine handle when the switch is registered with a
-	// wake-scheduled engine. Besides re-arming on port input, it
-	// supplies the processed-round counter that the round-robin pointer
-	// is derived from: historically rrNext advanced once per engine
+	// waker is the engine handle. Besides re-arming on port input, it
+	// supplies the processed-round counter the round-robin start is
+	// derived from: historically the pointer advanced once per engine
 	// tick round whether or not the switch had traffic, so a
-	// wake-scheduled switch must derive it from rounds processed, not
-	// ticks received, to arbitrate identically.
+	// wake-scheduled switch derives it from rounds processed, not
+	// ticks received, to arbitrate identically. A switch that was
+	// never registered has a nil waker, which reports 0 rounds.
 	waker *sim.Waker
 }
 
@@ -126,14 +125,12 @@ func (s *Switch) Tick(now sim.Cycle) bool {
 	// Route: each output accepts at most its rate per cycle; inputs
 	// are scanned round-robin for fairness. A flit whose output buffer
 	// is full blocks its input pipeline (head-of-line blocking, as in
-	// a real input-buffered switch).
+	// a real input-buffered switch). The scan starts at the port the
+	// processed-round count selects (see the waker field).
 	n := len(s.ports)
-	if s.waker != nil && n > 0 {
-		// Derived, not counted: rrNext must advance once per processed
-		// engine round (as it did when the switch was ticked every
-		// round), not once per received tick, or arbitration would
-		// depend on how many idle ticks the engine skipped.
-		s.rrNext = int(s.waker.Rounds() % int64(n))
+	start := 0
+	if n > 0 {
+		start = int(s.waker.Rounds() % int64(n))
 	}
 	granted := s.granted
 	for i := range granted {
@@ -142,7 +139,7 @@ func (s *Switch) Tick(now sim.Cycle) bool {
 	for pass := 0; pass < s.maxRate; pass++ {
 		progress := false
 		for k := 0; k < n; k++ {
-			i := (s.rrNext + k) % n
+			i := (start + k) % n
 			f, ok := s.pipes[i].Peek(now)
 			if !ok {
 				continue
@@ -165,12 +162,6 @@ func (s *Switch) Tick(now sim.Cycle) bool {
 			break
 		}
 	}
-	if s.waker == nil {
-		// Legacy path for switches driven outside an engine (direct
-		// Tick calls in tests): count ticks, as every tick is a round.
-		s.rrNext = (s.rrNext + 1) % max(n, 1)
-	}
-
 	// Egress: move up to the port's rate to its Out queue, from which
 	// the attached link drains at link bandwidth.
 	for i, p := range s.ports {
@@ -187,7 +178,7 @@ func (s *Switch) Tick(now sim.Cycle) bool {
 	return busy
 }
 
-// SetWaker implements sim.WakerAware: port input pushes (link
+// SetWaker implements sim.Ticker: port input pushes (link
 // deliveries) re-arm the switch, and the waker's round counter drives
 // the round-robin pointer (see the waker field).
 func (s *Switch) SetWaker(w *sim.Waker) {
@@ -197,7 +188,7 @@ func (s *Switch) SetWaker(w *sim.Waker) {
 	}
 }
 
-// NextWake implements sim.WakeHinter. Hot path: called after every
+// NextWake implements sim.Ticker. Hot path: called after every
 // switch tick, so the three queue heads are compared directly — no
 // per-call slice.
 func (s *Switch) NextWake(now sim.Cycle) sim.Cycle {

@@ -45,6 +45,78 @@ func TestSwitchRoundRobinFairness(t *testing.T) {
 	}
 }
 
+// awakeSwitch is ticked in every round, as the tick-everything engine
+// ticked every switch.
+type awakeSwitch struct{ *Switch }
+
+func (a awakeSwitch) NextWake(now sim.Cycle) sim.Cycle { return now + 1 }
+
+// filler is busy on its first n cycles, so the engine processes those
+// rounds while a switch beside it sleeps.
+type filler struct{ n int }
+
+func (f *filler) Tick(sim.Cycle) bool {
+	if f.n == 0 {
+		return false
+	}
+	f.n--
+	return true
+}
+
+func (f *filler) NextWake(now sim.Cycle) sim.Cycle {
+	if f.n == 0 {
+		return sim.CycleMax
+	}
+	return now + 1
+}
+
+func (f *filler) SetWaker(*sim.Waker) {}
+
+// TestSwitchArbitrationIgnoresSleep pins the round-robin start to the
+// engine's processed rounds, not the switch's own ticks: after any
+// number of rounds spent asleep, three inputs contending for one output
+// leave in the order a switch ticked in every round produces, and that
+// order moves with the round count.
+func TestSwitchArbitrationIgnoresSleep(t *testing.T) {
+	order := func(rounds int, awake bool) string {
+		e := sim.NewEngine()
+		sw := NewSwitch("sw", SwitchConfig{ProcessingLatency: 1, BufferEntries: 16})
+		in := []*Port{NewPort("a", 16), NewPort("b", 16), NewPort("c", 16)}
+		for _, p := range in {
+			sw.AddPort(p)
+		}
+		out := NewPort("d", 16)
+		sw.SetRoutes([]int32{int32(sw.AddPort(out))})
+		e.Register("fill", &filler{n: rounds})
+		if awake {
+			e.Register("sw", awakeSwitch{sw})
+		} else {
+			e.Register("sw", sw)
+		}
+		e.Run(sim.Cycle(rounds))
+		for i, p := range in {
+			p.In.Push(mkFlit(uint64(i), 0), e.Now())
+		}
+		e.Run(20)
+		var got []byte
+		for f, ok := out.Out.Pop(e.Now()); ok; f, ok = out.Out.Pop(e.Now()) {
+			got = append(got, byte('a'+f.Pkt.ID))
+		}
+		return string(got)
+	}
+	seen := map[string]bool{}
+	for rounds := 0; rounds < 8; rounds++ {
+		want, got := order(rounds, true), order(rounds, false)
+		if len(want) != 3 || got != want {
+			t.Errorf("after %d rounds: sleeping switch ejected %q, switch ticked every round %q", rounds, got, want)
+		}
+		seen[want] = true
+	}
+	if len(seen) < 2 {
+		t.Errorf("ejection order %v never moved with the round count", seen)
+	}
+}
+
 // TestSwitchPerInputOrderPreserved: flits from one input to one output
 // stay in order through the pipeline and crossbar.
 func TestSwitchPerInputOrderPreserved(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 )
 
 // pulseTicker is busy on cycles [busyFrom, busyTo) and on every cycle
-// divisible by period afterwards.
+// divisible by period afterwards. It wants every cycle.
 type pulseTicker struct {
 	busyFrom, busyTo sim.Cycle
 	period           sim.Cycle
@@ -24,6 +24,9 @@ func (t *pulseTicker) Tick(now sim.Cycle) bool {
 	}
 	return t.period > 0 && now%t.period == 0
 }
+
+func (t *pulseTicker) NextWake(now sim.Cycle) sim.Cycle { return now + 1 }
+func (t *pulseTicker) SetWaker(*sim.Waker)              {}
 
 // schedTicker is busy at exactly the listed (ascending) cycles and
 // hints the engine to wake it then.
@@ -46,6 +49,8 @@ func (t *schedTicker) NextWake(now sim.Cycle) sim.Cycle {
 	}
 	return sim.CycleMax
 }
+
+func (t *schedTicker) SetWaker(*sim.Waker) {}
 
 func TestTrackWindowAggregation(t *testing.T) {
 	tl := New(16)

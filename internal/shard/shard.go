@@ -70,33 +70,18 @@ type Plan struct {
 	byCluster []int
 }
 
-// PlanFor derives the partition for a topology with nClusters clusters
-// at the requested shard count. Shard counts above the cluster count
-// clamp down (a cluster is the unit of ownership); a count of one or
-// less means serial execution and returns the nil (one-shard) plan.
-func PlanFor(nClusters, shards int) *Plan {
-	if shards > nClusters {
-		shards = nClusters
-	}
-	if shards <= 1 {
-		return nil
-	}
-	p := &Plan{N: shards, byCluster: make([]int, nClusters)}
-	for c := range p.byCluster {
-		p.byCluster[c] = c * shards / nClusters
-	}
-	return p
-}
-
 // PlanForWeights derives the partition for clusters with the given
-// per-cluster weights (cluster.Build passes device counts, so uneven
-// fabrics split by GPU load, not cluster count): contiguous blocks cut
-// where the weight prefix crosses each shard's even share. With equal
-// weights it reduces exactly to PlanFor — the bit-exactness pin of the
-// pre-existing presets. Shard indices left empty by heavily skewed
-// weights are compacted away, so every shard of the returned plan owns
-// at least one cluster; a plan that degenerates to one shard returns
-// the nil (one-shard) plan.
+// positive per-cluster weights (cluster.Build passes device counts,
+// which topology validation keeps at one or more, so uneven fabrics
+// split by GPU load, not cluster count): contiguous blocks cut where
+// the weight prefix crosses each shard's even share. With equal
+// weights cluster c lands on shard c*shards/clusters. Shard counts
+// above the cluster count clamp down (a cluster is the unit of
+// ownership); a count of one or less means serial execution and
+// returns the nil (one-shard) plan. Shard indices left empty by
+// heavily skewed weights are compacted away, so every shard of the
+// returned plan owns at least one cluster; a plan that degenerates to
+// one shard returns the nil plan too.
 func PlanForWeights(weights []int, shards int) *Plan {
 	nClusters := len(weights)
 	if shards > nClusters {
@@ -107,20 +92,13 @@ func PlanForWeights(weights []int, shards int) *Plan {
 	}
 	total := 0
 	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total == 0 {
-		return PlanFor(nClusters, shards)
+		total += w
 	}
 	p := &Plan{byCluster: make([]int, nClusters)}
 	prefix := 0
 	for c, w := range weights {
 		p.byCluster[c] = prefix * shards / total
-		if w > 0 {
-			prefix += w
-		}
+		prefix += w
 	}
 	// Compact: remap the (non-decreasing) raw shard indices onto
 	// 0..N-1 with no gaps.

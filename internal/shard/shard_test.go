@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -9,22 +10,32 @@ import (
 	"netcrafter/internal/sim"
 )
 
+// even returns n equal cluster weights, the plan of a fabric with as
+// many devices in every cluster.
+func even(n int) []int {
+	w := make([]int, n)
+	for i := range w {
+		w[i] = 1
+	}
+	return w
+}
+
 func TestPlanForSerialCounts(t *testing.T) {
 	for _, shards := range []int{-1, 0, 1} {
-		if p := PlanFor(4, shards); p != nil {
-			t.Errorf("PlanFor(4, %d) = %+v, want nil (serial)", shards, p)
+		if p := PlanForWeights(even(4), shards); p != nil {
+			t.Errorf("PlanForWeights(4 clusters, %d) = %+v, want nil (serial)", shards, p)
 		}
 	}
 	// One cluster cannot be partitioned at all.
-	if p := PlanFor(1, 8); p != nil {
-		t.Errorf("PlanFor(1, 8) = %+v, want nil", p)
+	if p := PlanForWeights(even(1), 8); p != nil {
+		t.Errorf("PlanForWeights(1 cluster, 8) = %+v, want nil", p)
 	}
 }
 
 func TestPlanForClampsToClusters(t *testing.T) {
-	p := PlanFor(4, 16)
+	p := PlanForWeights(even(4), 16)
 	if p == nil || p.N != 4 {
-		t.Fatalf("PlanFor(4, 16) = %+v, want N=4", p)
+		t.Fatalf("PlanForWeights(4 clusters, 16) = %+v, want N=4", p)
 	}
 	for c := 0; c < 4; c++ {
 		if p.Of(c) != c {
@@ -33,37 +44,48 @@ func TestPlanForClampsToClusters(t *testing.T) {
 	}
 }
 
+// TestPlanForContiguousAndComplete checks that equal weights give
+// contiguous blocks, cluster c on shard c*shards/clusters, and that
+// skewed weights still leave no shard empty.
 func TestPlanForContiguousAndComplete(t *testing.T) {
-	for _, tc := range []struct{ clusters, shards int }{
-		{2, 2}, {4, 2}, {4, 3}, {8, 4}, {5, 2}, {7, 3},
+	for _, tc := range []struct {
+		weights []int
+		shards  int
+	}{
+		{even(2), 2}, {even(4), 2}, {even(4), 3}, {even(8), 4}, {even(5), 2}, {even(7), 3},
+		{[]int{1, 1, 6, 1}, 3}, {[]int{8, 1, 1, 1, 1}, 4},
 	} {
-		p := PlanFor(tc.clusters, tc.shards)
-		if p == nil || p.N != tc.shards {
-			t.Fatalf("PlanFor(%d, %d) = %+v", tc.clusters, tc.shards, p)
+		n, uniform := len(tc.weights), slices.Min(tc.weights) == slices.Max(tc.weights)
+		p := PlanForWeights(tc.weights, tc.shards)
+		if p == nil {
+			t.Fatalf("PlanForWeights(%v, %d) = nil", tc.weights, tc.shards)
 		}
 		seen := make([]int, p.N)
 		prev := 0
-		for c := 0; c < tc.clusters; c++ {
+		for c := 0; c < n; c++ {
 			sh := p.Of(c)
 			if sh < prev {
-				t.Errorf("PlanFor(%d, %d): shard assignment not monotonic at cluster %d", tc.clusters, tc.shards, c)
+				t.Errorf("PlanForWeights(%v, %d): shard assignment not monotonic at cluster %d", tc.weights, tc.shards, c)
 			}
 			if sh < 0 || sh >= p.N {
-				t.Fatalf("PlanFor(%d, %d): cluster %d on shard %d of %d", tc.clusters, tc.shards, c, sh, p.N)
+				t.Fatalf("PlanForWeights(%v, %d): cluster %d on shard %d of %d", tc.weights, tc.shards, c, sh, p.N)
+			}
+			if uniform && sh != c*tc.shards/n {
+				t.Errorf("PlanForWeights(%v, %d): cluster %d on shard %d, want %d", tc.weights, tc.shards, c, sh, c*tc.shards/n)
 			}
 			prev = sh
 			seen[sh]++
 		}
-		for sh, n := range seen {
-			if n == 0 {
-				t.Errorf("PlanFor(%d, %d): shard %d owns no cluster", tc.clusters, tc.shards, sh)
+		for sh, k := range seen {
+			if k == 0 {
+				t.Errorf("PlanForWeights(%v, %d): shard %d owns no cluster", tc.weights, tc.shards, sh)
 			}
 		}
 	}
 }
 
 func TestPlanOfOutOfRange(t *testing.T) {
-	p := PlanFor(4, 2)
+	p := PlanForWeights(even(4), 2)
 	if got := p.Of(-1); got != 0 {
 		t.Errorf("backbone (cluster -1) on shard %d, want 0", got)
 	}
@@ -84,12 +106,12 @@ func TestNilPlanIsOneShard(t *testing.T) {
 			t.Errorf("nil plan puts cluster %d on shard %d, want 0", c, got)
 		}
 	}
-	if got := PlanFor(4, 2).Shards(); got != 2 {
-		t.Errorf("PlanFor(4, 2).Shards() = %d, want 2", got)
+	if got := PlanForWeights(even(4), 2).Shards(); got != 2 {
+		t.Errorf("PlanForWeights(4 clusters, 2).Shards() = %d, want 2", got)
 	}
 }
 
-// countdown is a hot ticker that is busy for the first n cycles.
+// countdown is busy on each of its first left cycles, then parks.
 type countdown struct{ left int }
 
 func (c *countdown) Tick(now sim.Cycle) bool {
@@ -99,6 +121,15 @@ func (c *countdown) Tick(now sim.Cycle) bool {
 	c.left--
 	return true
 }
+
+func (c *countdown) NextWake(now sim.Cycle) sim.Cycle {
+	if c.left == 0 {
+		return sim.CycleMax
+	}
+	return now + 1
+}
+
+func (c *countdown) SetWaker(*sim.Waker) {}
 
 func TestCoordinatorRunUntilIdle(t *testing.T) {
 	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}

@@ -26,16 +26,10 @@
 //     NextWake, given no new input. NextWake must never be later than
 //     the first cycle the component would act — "exact or early,
 //     never late". External input into a sleeping component must
-//     wake it through its Waker (wired automatically for components
-//     that implement WakerAware). Under this contract, skipped ticks
-//     are exactly the ticks that would have done nothing, and the
-//     wake-scheduled run is cycle-for-cycle identical to ticking
-//     everything.
-//
-// Components without a WakeHinter stay in an always-hot set and are
-// ticked on every processed cycle, preserving the historical semantics
-// (including the idle-stretch behavior of the old loop, which consulted
-// hints only after a fully idle round).
+//     wake it through its Waker (handed to every ticker by Register).
+//     Under this contract, skipped ticks are exactly the ticks that
+//     would have done nothing, and the wake-scheduled run is
+//     cycle-for-cycle identical to ticking everything.
 package sim
 
 import (
@@ -52,33 +46,29 @@ type Cycle int64
 // CycleMax is the largest representable cycle, used as "never".
 const CycleMax = Cycle(math.MaxInt64)
 
-// Ticker is a component driven by the engine. Tick is called on cycles
-// when the component may have work. It must return true if the
-// component made progress (moved, produced, or consumed anything)
-// during this cycle; the engine uses this to fast-forward across fully
-// idle periods.
-type Ticker interface {
-	Tick(now Cycle) bool
-}
-
-// WakeHinter is implemented by Tickers that know the next cycle at
-// which they could possibly make progress (e.g. a timer or a queue
-// with a known ready time). The engine skips a hinted ticker entirely
-// until its hint (or its Waker) says it is due. Returning CycleMax
-// means "no pending work". Hints must be exact or early, never late:
-// a hint later than the first cycle the component would act at loses
-// work (see the package no-op contract). Tickers without a WakeHinter
-// are ticked on every processed cycle.
-type WakeHinter interface {
-	NextWake(now Cycle) Cycle
-}
-
-// WakerAware components receive a Waker handle when registered with an
-// engine. Implementations use it to wire their input queues (via
+// Ticker is a component driven by the engine.
+//
+// Tick is called on cycles when the component may have work. It must
+// return true if the component made progress (moved, produced, or
+// consumed anything) during this cycle; the engine uses this to
+// fast-forward across fully idle periods.
+//
+// NextWake, asked after every tick, returns the next cycle at which
+// the component could possibly make progress (e.g. a timer or a queue
+// with a known ready time); CycleMax means "no pending work". The
+// engine skips the ticker until its hint (or its Waker) says it is
+// due. Hints must be exact or early, never late: a hint later than the
+// first cycle the component would act at loses work (see the package
+// no-op contract). A ticker with work on every cycle hints now+1.
+//
+// SetWaker hands the component its Waker, once, during Register.
+// Implementations use it to wire their input queues (via
 // Queue.SetWaker) so producers re-arm them, and may keep the handle to
 // self-signal from code that runs outside their own Tick (e.g. the
-// Scheduler's At). SetWaker is called once, during Register.
-type WakerAware interface {
+// Scheduler's At).
+type Ticker interface {
+	Tick(now Cycle) bool
+	NextWake(now Cycle) Cycle
 	SetWaker(w *Waker)
 }
 
@@ -125,10 +115,7 @@ type wakeEntry struct {
 type Engine struct {
 	now     Cycle
 	tickers []Ticker
-	// hints[i] is tickers[i]'s WakeHinter, nil for always-hot tickers.
-	// Cached at registration so the hot loop never type-asserts.
-	hints []WakeHinter
-	names []string
+	names   []string
 
 	// wakeAt[i] is the authoritative armed wake cycle of ticker i
 	// (CycleMax = parked). The heap holds (cycle, index) entries with
@@ -142,10 +129,6 @@ type Engine struct {
 	// sift traffic; the heap only carries genuinely future wakes
 	// (pipeline delays, DRAM latencies, pool deadlines).
 	near []int
-	// hot holds the registration indices of hint-less tickers, which
-	// are due on every processed cycle. Registration appends, so it is
-	// sorted.
-	hot []int
 	// due is per-round scratch, reused across rounds.
 	due []int
 	// dueBits is per-round scratch too: one bit per registration index,
@@ -181,12 +164,13 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// Register adds a component to the tick list and returns its Waker.
+// Register adds a component to the tick list, arms it for the current
+// cycle — every component gets a first tick, after which its own hint
+// takes over — and hands it its Waker, which it also returns.
 // Components are ticked in registration order; registration order is
 // therefore part of the simulated machine's definition and must be
-// deterministic. If the component implements WakerAware it receives
-// its own Waker before Register returns. The returned Waker may be
-// ignored by callers that do not need to signal the component.
+// deterministic. The returned Waker may be ignored by callers that do
+// not need to signal the component.
 func (e *Engine) Register(name string, t Ticker) *Waker {
 	if t == nil {
 		panic("sim: Register called with nil ticker")
@@ -194,20 +178,10 @@ func (e *Engine) Register(name string, t Ticker) *Waker {
 	idx := len(e.tickers)
 	e.tickers = append(e.tickers, t)
 	e.names = append(e.names, name)
-	h, _ := t.(WakeHinter)
-	e.hints = append(e.hints, h)
 	e.wakeAt = append(e.wakeAt, CycleMax)
-	if h == nil {
-		e.hot = append(e.hot, idx)
-	} else {
-		// Arm for the current cycle: every component gets a first tick,
-		// after which its own hint takes over.
-		e.arm(idx, e.now)
-	}
+	e.arm(idx, e.now)
 	w := &Waker{e: e, idx: idx}
-	if aw, ok := t.(WakerAware); ok {
-		aw.SetWaker(w)
-	}
+	t.SetWaker(w)
 	return w
 }
 
@@ -239,10 +213,9 @@ func (e *Engine) Components() int { return len(e.tickers) }
 func (e *Engine) Rounds() int64 { return e.rounds }
 
 // Step advances simulated time by exactly one cycle, ticking every
-// component that is due (hint-less components and components whose
-// wake cycle has arrived — by the no-op contract, exactly the set
-// whose Tick could do anything). It reports whether any component made
-// progress.
+// component whose wake cycle has arrived (by the no-op contract,
+// exactly the set whose Tick could do anything). It reports whether
+// any component made progress.
 func (e *Engine) Step() bool {
 	busy := e.round()
 	e.now++
@@ -253,10 +226,9 @@ func (e *Engine) Step() bool {
 // components, tick them in registration order, re-arm each from its
 // hint.
 //
-// The armed due tickers come off near and the heap in no particular
-// order. A round with one due ticker, or with hot ones only, needs no
-// ordering; otherwise inOrder puts the armed ones in registration order
-// and merges in the hot ones, without sorting.
+// The due tickers come off near and the heap in no particular order.
+// A round with more than one due ticker puts them in registration
+// order with inOrder, without sorting.
 func (e *Engine) round() bool {
 	due := e.due[:0]
 	// In-place filter: due entries move to due and disarm; entries
@@ -283,10 +255,7 @@ func (e *Engine) round() bool {
 			e.wakeAt[ent.idx] = CycleMax
 		}
 	}
-	switch {
-	case len(due) == 0:
-		due = append(due, e.hot...)
-	case len(due)+len(e.hot) > 1:
+	if len(due) > 1 {
 		due = e.inOrder(due)
 	}
 	e.due = due
@@ -302,26 +271,22 @@ func (e *Engine) round() bool {
 		if b {
 			busy = true
 		}
-		if h := e.hints[idx]; h != nil {
-			w := h.NextWake(e.now)
-			if w <= e.now {
-				// Work is pending but blocked (or already handled this
-				// round); one tick per cycle, so next chance is now+1.
-				w = e.now + 1
-			}
-			e.arm(idx, w)
+		w := e.tickers[idx].NextWake(e.now)
+		if w <= e.now {
+			// Work is pending but blocked (or already handled this
+			// round); one tick per cycle, so next chance is now+1.
+			w = e.now + 1
 		}
+		e.arm(idx, w)
 	}
 	e.rounds++
 	return busy
 }
 
-// inOrder returns the armed due indices in armed, which holds each at
-// most once, merged with the hot tickers into ascending registration
-// order. It reuses armed's storage: the indices are marked in dueBits,
-// then read back out of the bitmap word by word, lowest bit first. A
-// hot ticker that was also armed (through its Waker) appears twice, as
-// it is ticked twice.
+// inOrder returns the due indices in armed, which holds each at most
+// once, in ascending registration order. It reuses armed's storage:
+// the indices are marked in dueBits, then read back out of the bitmap
+// word by word, lowest bit first.
 func (e *Engine) inOrder(armed []int) []int {
 	if words := (len(e.tickers) + 63) / 64; len(e.dueBits) < words {
 		e.dueBits = make([]uint64, words)
@@ -333,31 +298,20 @@ func (e *Engine) inOrder(armed []int) []int {
 		lo, hi = min(lo, w), max(hi, w)
 	}
 	out := armed[:0]
-	hot := e.hot
 	for w := lo; w <= hi; w++ {
 		word := e.dueBits[w]
 		e.dueBits[w] = 0
 		for word != 0 {
-			idx := w<<6 + bits.TrailingZeros64(word)
+			out = append(out, w<<6+bits.TrailingZeros64(word))
 			word &= word - 1
-			for len(hot) > 0 && hot[0] <= idx {
-				out = append(out, hot[0])
-				hot = hot[1:]
-			}
-			out = append(out, idx)
 		}
 	}
-	return append(out, hot...)
+	return out
 }
 
 // nextDue returns the earliest cycle any component could act, or
-// CycleMax when every component is parked. With a hint-less ticker
-// registered the engine can never skip more than one cycle, matching
-// the historical loop's behavior for unhinted components.
+// CycleMax when every component is parked.
 func (e *Engine) nextDue() Cycle {
-	if len(e.hot) > 0 {
-		return e.now + 1
-	}
 	if len(e.near) > 0 {
 		// Armed during the round that just finished, so due no later
 		// than the next round; returning now suppresses any skip.
@@ -374,9 +328,9 @@ func (e *Engine) nextDue() Cycle {
 }
 
 // NextDue returns the earliest cycle at which any registered component
-// could act (see nextDue): now+1 while a hint-less ticker is
-// registered, now when anything was armed during the round that just
-// ran, the heap minimum otherwise, CycleMax when fully parked. The
+// could act (see nextDue): now when anything was armed during the
+// round that just ran, the heap minimum otherwise, CycleMax when fully
+// parked. The
 // shard coordinator combines every shard's NextDue (plus in-flight
 // boundary deliveries) to reproduce RunUntil's idle-skip decisions
 // globally.

@@ -6,7 +6,7 @@ import (
 )
 
 // counter ticks until it reaches its target, reporting progress while
-// counting and optionally hinting a wake cycle.
+// counting, and wants every cycle.
 type counter struct {
 	n, target int
 	ticks     []Cycle
@@ -20,6 +20,9 @@ func (c *counter) Tick(now Cycle) bool {
 	}
 	return false
 }
+
+func (c *counter) NextWake(now Cycle) Cycle { return now + 1 }
+func (c *counter) SetWaker(*Waker)          {}
 
 type hintedSleeper struct {
 	wakeAt Cycle
@@ -40,6 +43,8 @@ func (s *hintedSleeper) NextWake(now Cycle) Cycle {
 	}
 	return s.wakeAt
 }
+
+func (s *hintedSleeper) SetWaker(*Waker) {}
 
 func TestEngineStepAdvancesTime(t *testing.T) {
 	e := NewEngine()

@@ -80,6 +80,7 @@ func (t *benchTicker) Tick(now Cycle) bool {
 }
 
 func (t *benchTicker) NextWake(now Cycle) Cycle { return t.next }
+func (t *benchTicker) SetWaker(*Waker)          {}
 
 // BenchmarkEngineSparseWakes is the wake engine's home turf: 64 hinted
 // components each busy once every 512 cycles. The tick-everything
@@ -95,19 +96,23 @@ func BenchmarkEngineSparseWakes(b *testing.B) {
 	e.Run(Cycle(b.N))
 }
 
-// hotTicker is hint-less: the engine must call it every processed cycle.
-type hotTicker struct{ ticks int }
+// dueTicker is busy on every cycle and hints now+1, so it is due in
+// every round.
+type dueTicker struct{ ticks int }
 
-func (t *hotTicker) Tick(now Cycle) bool { t.ticks++; return true }
+func (t *dueTicker) Tick(now Cycle) bool      { t.ticks++; return true }
+func (t *dueTicker) NextWake(now Cycle) Cycle { return now + 1 }
+func (t *dueTicker) SetWaker(*Waker)          {}
 
-// BenchmarkEngineAllHot measures the wake machinery's overhead in the
-// engine's worst case: every component hint-less and always busy, so
-// nothing can ever be skipped. This bounds the regression the wake
-// structure can inflict on fully-busy systems.
-func BenchmarkEngineAllHot(b *testing.B) {
+// BenchmarkEngineAllDue measures the wake machinery's overhead in the
+// engine's worst case: every component always busy and due in every
+// round, so nothing can ever be skipped and every round orders 64 due
+// tickers. This bounds the regression the wake structure can inflict
+// on fully-busy systems.
+func BenchmarkEngineAllDue(b *testing.B) {
 	e := NewEngine()
 	for i := 0; i < 64; i++ {
-		e.Register("h", &hotTicker{})
+		e.Register("d", &dueTicker{})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -120,6 +125,7 @@ type parkTicker struct{ ticks int }
 
 func (t *parkTicker) Tick(now Cycle) bool    { t.ticks++; return false }
 func (t *parkTicker) NextWake(_ Cycle) Cycle { return CycleMax }
+func (t *parkTicker) SetWaker(*Waker)        {}
 
 // BenchmarkEngineSignal measures the producer signal path: re-arming a
 // parked ticker through the Waker that Register returned.

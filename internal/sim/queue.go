@@ -43,9 +43,8 @@ func NewQueue[T any](capacity int, delay Cycle) *Queue[T] {
 
 // SetWaker attaches the consuming ticker's waker. After this, any push
 // that makes the queue go from empty to non-empty wakes the consumer
-// at the pushed item's ready cycle. Components implement
-// sim.WakerAware by forwarding the engine-provided waker to each of
-// their input queues.
+// at the pushed item's ready cycle. A component's SetWaker forwards
+// the engine-provided waker to each of its input queues.
 func (q *Queue[T]) SetWaker(w *Waker) { q.waker = w }
 
 // SetDepthProbe attaches an observer called with the queue depth after

@@ -9,7 +9,7 @@ import (
 
 // This file pins Engine.round's due set and its order to a sort-based
 // reference: a model that keeps one armed cycle per ticker, takes every
-// armed ticker due this cycle plus the hot ones, and sorts them.
+// armed ticker due this cycle, and sorts them.
 
 // roundHarness drives random arms through the engine and the model.
 type roundHarness struct {
@@ -21,10 +21,9 @@ type roundHarness struct {
 	model roundModel
 }
 
-// roundModel is the reference: armed cycles per ticker and the hot set.
+// roundModel is the reference: one armed cycle per ticker.
 type roundModel struct {
 	wakeAt []Cycle
-	hot    []bool
 }
 
 func (m *roundModel) arm(i int, at Cycle) {
@@ -34,17 +33,13 @@ func (m *roundModel) arm(i int, at Cycle) {
 }
 
 // due takes the round's due set at cycle now: every armed ticker whose
-// cycle has come, disarmed, plus every hot ticker, sorted. A hot ticker
-// armed through its Waker is in it twice.
+// cycle has come, disarmed, sorted.
 func (m *roundModel) due(now Cycle) []int {
 	var out []int
 	for i, at := range m.wakeAt {
 		if at <= now {
 			out = append(out, i)
 			m.wakeAt[i] = CycleMax
-		}
-		if m.hot[i] {
-			out = append(out, i)
 		}
 	}
 	sort.Ints(out)
@@ -80,46 +75,37 @@ func (r *roundTicker) Tick(now Cycle) bool {
 		r.hint = now + Cycle(1+h.rng.Intn(12))
 	}
 	if h.rng.Intn(200) == 0 {
-		h.register(h.rng.Intn(4) == 0)
+		h.register()
 	}
 	return true
 }
 
-// hintedTicker adds a wake hint to roundTicker; a bare roundTicker is
-// hot.
-type hintedTicker struct{ *roundTicker }
+func (r *roundTicker) NextWake(Cycle) Cycle { return r.hint }
+func (r *roundTicker) SetWaker(w *Waker)    { r.w = w }
 
-func (r hintedTicker) NextWake(Cycle) Cycle { return r.hint }
-
-func (h *roundHarness) register(hot bool) {
+func (h *roundHarness) register() {
 	r := &roundTicker{h: h, idx: len(h.ts)}
 	h.ts = append(h.ts, r)
-	h.model.hot = append(h.model.hot, hot)
 	h.model.wakeAt = append(h.model.wakeAt, CycleMax)
-	if hot {
-		r.w = h.e.Register("hot", r)
-		return
-	}
-	r.w = h.e.Register("hinted", hintedTicker{r})
+	h.e.Register("t", r)
 	h.model.arm(r.idx, h.e.Now()) // every ticker gets a first tick
 }
 
 // TestRoundMatchesSortedReference runs random arms through near, the
-// heap, hot tickers (some woken through their Wakers) and tickers
-// registered between rounds and inside one, across more than one bitmap
-// word. Each round must tick exactly the reference's due set, in
-// ascending registration order.
+// heap and tickers registered between rounds and inside one, across
+// more than one bitmap word. Each round must tick exactly the
+// reference's due set, in ascending registration order.
 func TestRoundMatchesSortedReference(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		h := &roundHarness{t: t, e: NewEngine(), rng: rand.New(rand.NewSource(seed))}
 		n := 60 + h.rng.Intn(90)
 		for i := 0; i < n; i++ {
-			h.register(h.rng.Intn(8) == 0)
+			h.register()
 		}
 		rounds, multi := 0, 0
 		for step := 0; step < 600; step++ {
 			if h.rng.Intn(40) == 0 {
-				h.register(h.rng.Intn(4) == 0)
+				h.register()
 			}
 			now := h.e.Now()
 			want := h.model.due(now)
@@ -129,13 +115,11 @@ func TestRoundMatchesSortedReference(t *testing.T) {
 				t.Fatalf("seed %d cycle %d: ticked %v, reference due set %v", seed, now, h.log, want)
 			}
 			for _, i := range want {
-				if !h.model.hot[i] {
-					at := h.ts[i].hint
-					if at <= now {
-						at = now + 1
-					}
-					h.model.arm(i, at)
+				at := h.ts[i].hint
+				if at <= now {
+					at = now + 1
 				}
+				h.model.arm(i, at)
 			}
 			rounds++
 			if len(want) > 1 {

@@ -46,7 +46,7 @@ func NewScheduler() *Scheduler {
 	return &Scheduler{far: make(map[Cycle][]func(Cycle))}
 }
 
-// SetWaker implements WakerAware: At self-signals the engine, so
+// SetWaker implements Ticker: At self-signals the engine, so
 // callbacks scheduled from other components' ticks re-arm a sleeping
 // scheduler.
 func (s *Scheduler) SetWaker(w *Waker) { s.waker = w }
@@ -137,7 +137,7 @@ func (s *Scheduler) Tick(now Cycle) bool {
 	return busy
 }
 
-// NextWake implements WakeHinter.
+// NextWake implements Ticker.
 func (s *Scheduler) NextWake(now Cycle) Cycle {
 	if len(s.keys) == 0 {
 		return CycleMax

@@ -12,9 +12,9 @@ import (
 // PTEs become PTReq/PTRsp packets over the inter-GPU network.
 type PTEReader interface {
 	// ReadPTE reads the 8-byte entry at addr on behalf of t, which
-	// completes exactly once when the data is available. It reports
-	// false when the reader cannot accept the request now.
-	ReadPTE(t *txn.Transaction, addr uint64, now sim.Cycle) bool
+	// completes exactly once when the data is available. It always
+	// accepts the request.
+	ReadPTE(t *txn.Transaction, addr uint64, now sim.Cycle)
 }
 
 // GMMUConfig describes the GPU memory management unit (Table 2:
@@ -154,9 +154,6 @@ const (
 	gmmuRolePWC uint16 = iota
 	// gmmuRoleStep — one serial PTE read finished; advance the cursor.
 	gmmuRoleStep
-	// gmmuRoleStepRetry — the PTE reader rejected the current step;
-	// re-offer it after the 4-cycle poll.
-	gmmuRoleStepRetry
 )
 
 // Translate implements Translator. Requests beyond the walker pool are
@@ -203,8 +200,6 @@ func (g *GMMU) OnComplete(tr *txn.Transaction, f txn.Frame, at sim.Cycle) {
 	case gmmuRoleStep:
 		req.idx++
 		g.runSteps(req, at)
-	case gmmuRoleStepRetry:
-		g.runSteps(req, at)
 	}
 }
 
@@ -234,15 +229,8 @@ func (g *GMMU) runSteps(req *walkReq, now sim.Cycle) {
 		g.finishWalk(req, now)
 		return
 	}
-	tr := req.t
-	tr.Push(g, gmmuRoleStep, 0, req)
-	if !g.mem.ReadPTE(tr, req.steps[req.idx].Addr, now) {
-		// Memory path busy; retry shortly without advancing.
-		tr.Drop()
-		tr.Push(g, gmmuRoleStepRetry, 0, req)
-		tr.CompleteAfter(g.sched, now, 4)
-		return
-	}
+	req.t.Push(g, gmmuRoleStep, 0, req)
+	g.mem.ReadPTE(req.t, req.steps[req.idx].Addr, now)
 	g.Stats.WalkAccesses.Inc()
 }
 

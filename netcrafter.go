@@ -207,7 +207,9 @@ type CommPlan = comm.Plan
 // the open-loop arrival process (QPS, burst, request shape).
 type CommScale = comm.Scale
 
-// CommOptions tunes plan execution (injection rate, write window).
+// CommOptions wires plan execution into a system: the plan's start
+// cycle, and optional latency histogram and timeline dwell sinks.
+// Injection rate and posted-write window are fixed (DESIGN.md §2.13).
 type CommOptions = comm.Options
 
 // CommResult is what a communication run measured: makespan, bytes
