@@ -283,7 +283,7 @@ sweep-small:
 
 # The committed sweep is current: rerun every experiment at small scale
 # and byte-compare the reports with results_small.txt. Too slow for
-# `make ci` (about 80 s on 2 vCPUs); run it before regenerating
+# `make ci` (about 2.5 minutes on 2 vCPUs); run it before regenerating
 # BENCH_small.json and whenever a change claims identical outputs.
 sweep-check:
 	$(GO) run ./cmd/netcrafter-bench -exp all -scale small -manifest off -q \

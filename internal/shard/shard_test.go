@@ -57,8 +57,8 @@ func TestPlanForContiguousAndComplete(t *testing.T) {
 	} {
 		n, uniform := len(tc.weights), slices.Min(tc.weights) == slices.Max(tc.weights)
 		p := PlanForWeights(tc.weights, tc.shards)
-		if p == nil {
-			t.Fatalf("PlanForWeights(%v, %d) = nil", tc.weights, tc.shards)
+		if p == nil || (uniform && p.N != tc.shards) {
+			t.Fatalf("PlanForWeights(%v, %d) = %+v", tc.weights, tc.shards, p)
 		}
 		seen := make([]int, p.N)
 		prev := 0
