@@ -3,8 +3,9 @@
 # layer, the parallel sweep runner and the partitioned wake engine are
 # concurrency-safe by contract, so races are release blockers), the
 # benchmark module's tests (its golden cross-checks), short fuzzes of
-# the topology spec parser, the spec-to-build-to-run path and the comm
-# trace parser, the docs checks, and race-instrumented
+# the topology spec parser, the spec-to-build-to-run path, the comm
+# trace parser and the flit segment/reassemble and stitch/unstitch
+# encodings, the docs checks, and race-instrumented
 # smokes of the parallel sweep runner and the sharded engine end to end.
 
 GO ?= go
@@ -122,6 +123,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTopoParse -fuzztime=5s -run='^$$' ./internal/topo
 	$(GO) test -fuzz=FuzzBuild -fuzztime=5s -run='^$$' ./internal/cluster
 	$(GO) test -fuzz=FuzzTraceParse -fuzztime=5s -run='^$$' ./internal/comm
+	$(GO) test -fuzz=FuzzSegmentReassemble -fuzztime=5s -run='^$$' ./internal/flit
+	$(GO) test -fuzz=FuzzStitchUnstitch -fuzztime=5s -run='^$$' ./internal/flit
 
 # Every package must carry a package-level doc comment, and the
 # committed architecture DOT must match the current import graph.

@@ -9,8 +9,10 @@ import (
 )
 
 // Documented calibration tolerances, asserted here and quoted in
-// EXPERIMENTS.md: the flow backend lower-bounds the cycle engine, and
-// its makespan error at the tiny scale stays within these envelopes.
+// EXPERIMENTS.md: the flow backend's makespan stays within 1.01x of the
+// cycle engine's (usually below it, not always: small-scale serving
+// cells read up to +0.99%), and its error at the tiny scale stays
+// within these envelopes. Serving p99 is not bounded.
 // Numbers above the envelope mean the flow model drifted from the
 // engine (or vice versa) — recalibrate before relaxing them.
 const (
@@ -29,9 +31,9 @@ const (
 
 // TestExtCalibrateTiny runs the calibration experiment and asserts
 // the documented error envelopes: every cell pairs up, the flow
-// backend never moves different bytes, its makespan never exceeds the
-// engine's (it drops queueing and arbitration, so it is a lower
-// bound), and the per-regime relative errors hold.
+// backend never moves different bytes, its makespan never exceeds
+// 1.01x the engine's (it drops queueing and arbitration, so it mostly
+// reads below), and the per-regime relative errors hold.
 func TestExtCalibrateTiny(t *testing.T) {
 	rep, err := Run("ext-calibrate", tinyOpts())
 	if err != nil {
@@ -50,7 +52,7 @@ func TestExtCalibrateTiny(t *testing.T) {
 			continue
 		}
 		if flw > cyc*1.01 {
-			t.Errorf("%s: flow makespan %v exceeds cycle %v — the fluid model should lower-bound the engine", row.Label, flw, cyc)
+			t.Errorf("%s: flow makespan %v exceeds 1.01x cycle %v", row.Label, flw, cyc)
 		}
 		tol := calTolCollective
 		switch {

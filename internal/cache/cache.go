@@ -134,9 +134,6 @@ type Stats struct {
 	Hits         stats.Counter
 	Misses       stats.Counter // line misses
 	SectorMisses stats.Counter
-	Fills        stats.Counter
-	Evictions    stats.Counter
-	Writebacks   stats.Counter
 }
 
 // MissRate returns (Misses+SectorMisses)/Accesses.
@@ -244,7 +241,6 @@ func (c *Cache) Fill(addr uint64, mask SectorMask) (ev Eviction, evicted bool) {
 	if mask == 0 {
 		panic("cache: Fill with empty sector mask")
 	}
-	c.Stats.Fills.Inc()
 	c.tick()
 	if c.lines == nil {
 		c.lines = make([]line, c.nSets*uint64(c.cfg.Ways))
@@ -272,10 +268,6 @@ func (c *Cache) Fill(addr uint64, mask SectorMask) (ev Eviction, evicted bool) {
 	}
 	if !empty {
 		v := &set[victim]
-		c.Stats.Evictions.Inc()
-		if v.dirty() {
-			c.Stats.Writebacks.Inc()
-		}
 		ev, evicted = Eviction{LineAddr: v.tag * uint64(c.cfg.LineBytes), Dirty: v.dirty()}, true
 	}
 	set[victim] = line{tag: tag, meta: c.clock<<stampShift | uint64(mask)}
@@ -319,12 +311,6 @@ func (c *Cache) Invalidate(addr uint64) bool {
 }
 
 // InvalidateAll clears the whole cache (kernel-boundary flush). Dirty
-// lines are counted as write-backs.
-func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		if c.lines[i].dirty() {
-			c.Stats.Writebacks.Inc()
-		}
-		c.lines[i] = line{}
-	}
-}
+// lines are dropped, not written back: only the write-through L1s are
+// flushed.
+func (c *Cache) InvalidateAll() { clear(c.lines) }

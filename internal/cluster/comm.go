@@ -29,10 +29,11 @@ func commAddr(dst int, off uint64) uint64 {
 // RunComm executes a communication plan on the system: one injector
 // per participant GPU, run until every transfer is acknowledged and
 // the fabric has drained, or the cycle limit is hit. When AttachObs
-// was called with a registry or timeline, request latencies also feed
-// a "comm.request_latency_cycles" histogram and a "comm.requests"
-// dwell track. Repeated calls on one system run back to back on the
-// engine's clock.
+// was called with a registry, the run's exact request latencies are
+// observed into a "comm.request_latency_cycles" histogram after it
+// completes; with a timeline, each request also lands on a
+// "comm.requests" dwell track. Repeated calls on one system run back
+// to back on the engine's clock.
 func (s *System) RunComm(p *comm.Plan, opt comm.Options, limit sim.Cycle) (*comm.Result, error) {
 	defer s.emptyPools()
 	if s.Shards() > 1 {
@@ -46,9 +47,7 @@ func (s *System) RunComm(p *comm.Plan, opt comm.Options, limit sim.Cycle) (*comm
 	}
 	opt.Start = s.Engine.Now()
 	opt.AddrOf = commAddr
-	if s.obsReg != nil && opt.Hist == nil {
-		opt.Hist = s.obsReg.Hist("comm.request_latency_cycles")
-	}
+	hist := s.obsReg.Hist("comm.request_latency_cycles")
 	if s.obsTL != nil && opt.Dwell == nil {
 		opt.Dwell = s.obsTL.NewDwellTrack("comm.requests")
 	}
@@ -69,6 +68,9 @@ func (s *System) RunComm(p *comm.Plan, opt comm.Options, limit sim.Cycle) (*comm
 	}
 	res := tk.Result()
 	res.Wall = s.coord.Wall() - wallStart
+	for _, l := range res.Latencies {
+		hist.Observe(float64(l))
+	}
 	return res, nil
 }
 

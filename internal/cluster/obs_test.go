@@ -88,8 +88,9 @@ func TestSpansTileEndToEnd(t *testing.T) {
 	if reg.Hist("nc0.ctl_latency_cycles").Count() == 0 {
 		t.Fatal("controller residency histogram empty")
 	}
-	if len(reg.Snapshot()) == 0 {
-		t.Fatal("registry snapshot empty")
+	var prom bytes.Buffer
+	if err := reg.WriteProm(&prom); err != nil || prom.Len() == 0 {
+		t.Fatalf("registry export empty (err %v)", err)
 	}
 }
 

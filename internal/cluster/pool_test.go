@@ -193,11 +193,11 @@ func TestLocalReadNoAllocs(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		read()
 	}
-	fetches, misses := g.Mem.DRAMFetches.Value(), g.L1Misses()
+	fetches, misses := g.Mem.L2Misses(), g.L1Misses()
 	if n := testing.AllocsPerRun(100, read); n != 0 {
 		t.Fatalf("steady-state local read: %v allocs, want 0", n)
 	}
-	if got := g.Mem.DRAMFetches.Value() - fetches; got < 100 {
+	if got := g.Mem.L2Misses() - fetches; got < 100 {
 		t.Fatalf("%d DRAM fetches in 101 reads: the reads hit a cache", got)
 	}
 	if got := g.L1Misses() - misses; got < 100 {

@@ -47,10 +47,6 @@ type Result struct {
 	// InterUtilization is the mean utilization of the inter-cluster
 	// link (both directions), the Fig-4 quantity.
 	InterUtilization float64
-	// InterActiveUtilization is the same share measured only over each
-	// direction's active window (first..last flit moved), excluding
-	// warm-up and drain idle cycles.
-	InterActiveUtilization float64
 	// InterReadLatency / IntraReadLatency are mean remote read
 	// latencies in cycles (Figs 5, 15).
 	InterReadLatency float64
@@ -144,30 +140,28 @@ func (s *System) collect(name string, cycles sim.Cycle) *Result {
 		r.BytesNeeded.Merge(g.RDMA.Stats.BytesNeeded)
 	}
 	// Latency means weighted by sample counts.
-	var interSum, interN, intraSum, intraN float64
+	var interSum, interN, intraSum, intraN int64
 	for _, g := range s.GPUs {
-		interSum += g.RDMA.Stats.InterClusterReadLat.Sum()
-		interN += float64(g.RDMA.Stats.InterClusterReadLat.Count())
-		intraSum += g.RDMA.Stats.IntraClusterReadLat.Sum()
-		intraN += float64(g.RDMA.Stats.IntraClusterReadLat.Count())
+		interSum += g.RDMA.Stats.InterClusterReadCycles.Value()
+		interN += g.RDMA.Stats.InterClusterReads.Value()
+		intraSum += g.RDMA.Stats.IntraClusterReadCycles.Value()
+		intraN += g.RDMA.Stats.IntraClusterReads.Value()
 	}
 	if interN > 0 {
-		r.InterReadLatency = interSum / interN
+		r.InterReadLatency = float64(interSum) / float64(interN)
 	}
 	if intraN > 0 {
-		r.IntraReadLatency = intraSum / intraN
+		r.IntraReadLatency = float64(intraSum) / float64(intraN)
 	}
 	for _, ctl := range s.Controllers {
 		r.Net.Merge(ctl.Net)
 	}
 	if cycles > 0 && len(s.InterLinks) > 0 {
-		var u, au float64
+		var u float64
 		for _, l := range s.InterLinks {
 			u += (l.AtoB.Utilization(s.Engine.Now()) + l.BtoA.Utilization(s.Engine.Now())) / 2
-			au += (l.AtoB.ActiveUtilization() + l.BtoA.ActiveUtilization()) / 2
 		}
 		r.InterUtilization = u / float64(len(s.InterLinks))
-		r.InterActiveUtilization = au / float64(len(s.InterLinks))
 	}
 	return r
 }

@@ -29,7 +29,7 @@
 // owns. A Plan is never mutated by execution — both backends only
 // read it — so one Plan may be run concurrently on any number of
 // private systems or networks (the bench worker pool does exactly
-// this). Tracker, Injector and Options.Hist/Dwell sinks, by contrast,
+// this). Tracker, Injector and the Options.Dwell sink, by contrast,
 // belong to one engine: they are single-goroutine state touched only
 // from that engine's tick loop, never shared across systems. Each Run
 // returns a fresh Result owned by the caller.

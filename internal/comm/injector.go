@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"netcrafter/internal/gpu"
-	"netcrafter/internal/obs"
 	"netcrafter/internal/obs/timeline"
 	"netcrafter/internal/sim"
 	"netcrafter/internal/txn"
@@ -39,9 +38,6 @@ type Options struct {
 	// address homed on dst. Supplied by the cluster runner — address
 	// layout is the system's business, not the plan's.
 	AddrOf func(dst int, off uint64) uint64
-	// Hist, when non-nil, observes every completed request's latency
-	// (cycles) — the registry-facing view of the tail.
-	Hist *obs.Hist
 	// Dwell, when non-nil, records each request's arrival-to-
 	// completion interval as a timeline dwell, so request lifecycles
 	// line up with link utilization in trace exports.
@@ -135,9 +131,6 @@ func (tk *Tracker) acked(s *Send, at sim.Cycle) {
 			lat := at - arrived
 			tk.latency[s.Req] = lat
 			tk.completed++
-			if tk.opt.Hist != nil {
-				tk.opt.Hist.Observe(float64(lat))
-			}
 			tk.opt.Dwell.Dwell(arrived, lat, uint64(s.Req))
 		}
 	}

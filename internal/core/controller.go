@@ -476,7 +476,6 @@ func (c *Controller) serve(p *partition, now sim.Cycle) bool {
 
 func (c *Controller) eject(parent *flit.Flit, now sim.Cycle) {
 	c.perDst[parent.Pkt.DstCluster]--
-	c.Net.CtlLatency.Observe(float64(now - parent.CtlArrivedAt))
 	c.ObsCtlLat.Observe(float64(now - parent.CtlArrivedAt))
 	c.ObsWire.Observe(now, float64(parent.Size))
 	parent.Pkt.Span.To(obs.StageWire, now)

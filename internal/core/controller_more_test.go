@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"netcrafter/internal/flit"
+	"netcrafter/internal/obs"
 	"netcrafter/internal/sim"
 )
 
@@ -145,12 +146,13 @@ func TestControllerStringer(t *testing.T) {
 
 func TestControllerLatencySampled(t *testing.T) {
 	h := newHarness(Passthrough())
+	h.ctl.ObsCtlLat = obs.NewRegistry().Hist("ctl_latency_cycles")
 	h.inject(flitsOf(flit.ReadRsp, 1)...)
 	h.run(100)
-	if h.ctl.Net.CtlLatency.Count() != 5 {
-		t.Fatalf("latency samples = %d, want 5", h.ctl.Net.CtlLatency.Count())
+	if h.ctl.ObsCtlLat.Count() != 5 {
+		t.Fatalf("latency samples = %d, want 5", h.ctl.ObsCtlLat.Count())
 	}
-	if h.ctl.Net.CtlLatency.Mean() < 1 {
+	if h.ctl.ObsCtlLat.Mean() < 1 {
 		t.Fatal("implausible zero controller latency")
 	}
 }
@@ -165,6 +167,7 @@ func TestPoolingIsLatencyNeutral(t *testing.T) {
 		cfg.EnableStitch = true
 		cfg.PoolingCycles = pool
 		h := newHarness(cfg)
+		h.ctl.ObsCtlLat = obs.NewRegistry().Hist("ctl_latency_cycles")
 		// ReadReq flits (4 empty bytes) have no 4-byte candidates in
 		// this mix, so the pool slot engages; background keeps the
 		// link busy.
@@ -173,7 +176,7 @@ func TestPoolingIsLatencyNeutral(t *testing.T) {
 			h.inject(backgroundFlits(2)...)
 		}
 		h.run(5000)
-		return h.ctl.Net.CtlLatency.Mean(), h.ctl.Net.PooledFlits.Value()
+		return h.ctl.ObsCtlLat.Mean(), h.ctl.Net.PooledFlits.Value()
 	}
 	m0, p0 := run(0)
 	m128, p128 := run(128)

@@ -40,8 +40,6 @@ type DRAM struct {
 	busFreeAt int64
 	sched     *sim.Scheduler
 
-	Reads     stats.Counter
-	Writes    stats.Counter
 	BytesRead stats.Counter
 	BytesWrit stats.Counter
 	// ObsServiceLat, when non-nil, records each request's admission-to-
@@ -97,10 +95,8 @@ func (d *DRAM) Tick(now sim.Cycle) bool {
 		end := start + int64(t.Mem.Bytes)
 		d.busFreeAt = end
 		if t.Mem.Write {
-			d.Writes.Inc()
 			d.BytesWrit.Add(int64(t.Mem.Bytes))
 		} else {
-			d.Reads.Inc()
 			d.BytesRead.Add(int64(t.Mem.Bytes))
 		}
 		endCycle := sim.Cycle((end + bpc - 1) / bpc)

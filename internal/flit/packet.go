@@ -131,23 +131,20 @@ type Packet struct {
 	// trim eligibility and the Fig-7 characterization.
 	RequiredBytesHint int
 
-	// TraceID links the packets of one logical transaction: a response
-	// inherits the TraceID of the request it answers, so offline span
-	// analysis can reassemble full round trips. It survives
-	// segmentation, stitching and un-stitching because every flit and
-	// stitch item references the originating Packet.
-	TraceID uint64
-
 	// Span, when non-nil, accumulates the packet's per-stage latency
 	// breakdown. Components stamp stage transitions as the packet moves;
 	// a nil Span (observability disabled) makes every stamp a free
-	// no-op.
+	// no-op. A request's span carries its packet ID as trace id, and the
+	// response's span carries the request's, so offline span analysis
+	// can reassemble round trips. It survives segmentation, stitching
+	// and un-stitching because every flit and stitch item references
+	// the originating Packet.
 	Span *obs.Span
 
 	// Txn is the memory transaction this packet moves: the requester
 	// sets it on the request, and the home GPU copies it onto the
-	// response, so completion needs no side lookup table and
-	// TraceID/Span propagation is structural. The wire does not see it.
+	// response, so completion needs no side lookup table and Span
+	// propagation is structural. The wire does not see it.
 	Txn *txn.Transaction
 
 	pool     *Pool // issuer; a released packet goes back only to it

@@ -15,10 +15,6 @@ import (
 // CUStats counts one compute unit's activity.
 type CUStats struct {
 	Instructions stats.Counter
-	LineAccesses stats.Counter
-	Reads        stats.Counter
-	WritesPosted stats.Counter
-	Retries      stats.Counter
 }
 
 // CU is one compute unit: a pool of wavefront slots executing access
@@ -173,17 +169,13 @@ func (cu *CU) step(wf *wavefront, now sim.Cycle) {
 }
 
 // issue attempts the access's translation; a rejection (TLB MSHRs full)
-// re-arms the same role as a 4-cycle poll. Counters match the old
-// recursive poll closure: LineAccesses per attempt, Retries per
-// rejection.
+// re-arms the same role as a 4-cycle poll.
 func (cu *CU) issue(t *txn.Transaction, now sim.Cycle) {
-	cu.Stats.LineAccesses.Inc()
 	t.Push(cu, cuRoleRouted, 0, nil)
 	if cu.L1TLB.Translate(t, now) {
 		return
 	}
 	t.Drop()
-	cu.Stats.Retries.Inc()
 	t.Push(cu, cuRoleIssue, 0, nil)
 	t.CompleteAfter(cu.sched, now, 4)
 }
@@ -205,7 +197,6 @@ func (cu *CU) routed(t *txn.Transaction, at sim.Cycle) {
 // The store is posted — the access transaction completes at issue while
 // the drain proceeds under its own transaction.
 func (cu *CU) write(t *txn.Transaction, now sim.Cycle) {
-	cu.Stats.WritesPosted.Inc()
 	lineOff := int(t.PAddr % flit.LineBytes)
 	cu.L1.Write(t.PAddr, cu.cfg.L1.MaskForBytes(lineOff, t.Size))
 	if cu.gpu.topo.HomeGPU(t.PAddr) == cu.gpu.ID {
@@ -223,7 +214,6 @@ func (cu *CU) write(t *txn.Transaction, now sim.Cycle) {
 // read performs a load through the L1 with its lookup latency, MSHRs,
 // and the fetch policy of the configured mode.
 func (cu *CU) read(t *txn.Transaction, now sim.Cycle) {
-	cu.Stats.Reads.Inc()
 	lineOff := int(t.PAddr % flit.LineBytes)
 	if lineOff+t.Size > flit.LineBytes {
 		// The coalescer emits per-line accesses; a cross-line span is a
@@ -247,7 +237,6 @@ func (cu *CU) l1Lookup(t *txn.Transaction, at sim.Cycle) {
 		t.SetState(txn.StateMSHR, at)
 		return
 	case cache.Stalled:
-		cu.Stats.Retries.Inc()
 		t.SetState(txn.StateMSHR, at)
 		t.Push(cu, cuRoleMSHRRetry, lineAddr, nil)
 		t.CompleteAfter(cu.sched, at, 4)
@@ -268,7 +257,6 @@ func (cu *CU) retryRead(lineAddr uint64, t *txn.Transaction, now sim.Cycle) {
 	case cache.Merged:
 		return
 	case cache.Stalled:
-		cu.Stats.Retries.Inc()
 		t.Push(cu, cuRoleMSHRRetry, lineAddr, nil)
 		t.CompleteAfter(cu.sched, now, 4)
 		return

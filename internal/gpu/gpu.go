@@ -91,8 +91,8 @@ func (g *GPU) AttachObs(reg *obs.Registry, spans *obs.SpanRecorder) {
 	reg.GaugeFunc(p+"cu.instructions", func() float64 { return float64(g.Instructions()) })
 	reg.GaugeFunc(p+"l1.accesses", func() float64 { return float64(g.L1Accesses()) })
 	reg.GaugeFunc(p+"l1.misses", func() float64 { return float64(g.L1Misses()) })
-	reg.GaugeFunc(p+"mem.l2_hits", func() float64 { return float64(g.Mem.L2Hits.Value()) })
-	reg.GaugeFunc(p+"mem.l2_misses", func() float64 { return float64(g.Mem.L2Misses.Value()) })
+	reg.GaugeFunc(p+"mem.l2_hits", func() float64 { return float64(g.Mem.L2Hits()) })
+	reg.GaugeFunc(p+"mem.l2_misses", func() float64 { return float64(g.Mem.L2Misses()) })
 	reg.GaugeFunc(p+"dram.bytes_read", func() float64 { return float64(g.Mem.DRAM().BytesRead.Value()) })
 	reg.GaugeFunc(p+"dram.bytes_written", func() float64 { return float64(g.Mem.DRAM().BytesWrit.Value()) })
 	reg.GaugeFunc(p+"rdma.remote_reads", func() float64 { return float64(g.RDMA.Stats.RemoteReads.Value()) })

@@ -28,11 +28,7 @@ type MemPartition struct {
 	table *txn.Table
 	sched *sim.Scheduler
 
-	Reads       stats.Counter
-	Writes      stats.Counter
-	L2Hits      stats.Counter
-	L2Misses    stats.Counter
-	DRAMFetches stats.Counter
+	Writes stats.Counter
 	// ObsReadLat, when non-nil, records the accept-to-done latency of
 	// every ReadLine (L2 hit or DRAM fill) into the metrics registry.
 	ObsReadLat *obs.Hist
@@ -61,6 +57,26 @@ func (m *MemPartition) Tickers() []sim.Ticker { return []sim.Ticker{m.dram} }
 
 // DRAM exposes the memory stack (stats).
 func (m *MemPartition) DRAM() *dram.DRAM { return m.dram }
+
+// L2Hits sums the L2 banks' hits. ReadLine is the only path that looks
+// a bank up, so the banks' statistics are the record of L2 reads.
+func (m *MemPartition) L2Hits() int64 {
+	var n int64
+	for _, b := range m.banks {
+		n += b.Stats.Hits.Value()
+	}
+	return n
+}
+
+// L2Misses sums the L2 banks' line and sector misses: the reads that
+// fetched their line from DRAM.
+func (m *MemPartition) L2Misses() int64 {
+	var n int64
+	for _, b := range m.banks {
+		n += b.Stats.Misses.Value() + b.Stats.SectorMisses.Value()
+	}
+	return n
+}
 
 func (m *MemPartition) bankIdx(paddr uint64) int {
 	return int((paddr / uint64(m.cfg.L2Bank.LineBytes)) % uint64(m.cfg.L2Banks))
@@ -115,7 +131,6 @@ func (m *MemPartition) OnComplete(t *txn.Transaction, f txn.Frame, at sim.Cycle)
 // available. Always accepts (the DRAM queue is unbounded; bank
 // contention is modeled as queueing delay on bankFree).
 func (m *MemPartition) ReadLine(t *txn.Transaction, paddr uint64, now sim.Cycle) {
-	m.Reads.Inc()
 	if m.ObsReadLat != nil {
 		t.Push(m, memRoleObs, uint64(now), nil)
 	}
@@ -133,16 +148,13 @@ func (m *MemPartition) ReadLine(t *txn.Transaction, paddr uint64, now sim.Cycle)
 func (m *MemPartition) readLookup(t *txn.Transaction, la uint64, at sim.Cycle) {
 	bank := m.banks[m.bankIdx(la)]
 	if bank.Lookup(la, bank.Config().FullMask()) == cache.Hit {
-		m.L2Hits.Inc()
 		t.Complete(at)
 		return
 	}
-	m.L2Misses.Inc()
 	m.fetchFromDRAM(t, la, at)
 }
 
 func (m *MemPartition) fetchFromDRAM(t *txn.Transaction, la uint64, now sim.Cycle) {
-	m.DRAMFetches.Inc()
 	t.Mem = txn.MemOp{Addr: la, Bytes: m.cfg.L2Bank.LineBytes}
 	t.Push(m, memRoleDRAMFill, la, nil)
 	m.dram.Access(t, now)

@@ -30,10 +30,13 @@ type RDMAStats struct {
 	ServedReads    stats.Counter // requests served for other GPUs
 	ServedWrites   stats.Counter
 	ServedPTEs     stats.Counter
-	// Latency of completed remote reads, split by whether the request
-	// crossed clusters (Figs 5 and 15 report the inter-cluster one).
-	InterClusterReadLat stats.Sampler
-	IntraClusterReadLat stats.Sampler
+	// Completed remote reads and their summed latency in cycles, split
+	// by whether the request crossed clusters (Figs 5 and 15 report the
+	// inter-cluster mean).
+	InterClusterReads      stats.Counter
+	InterClusterReadCycles stats.Counter
+	IntraClusterReads      stats.Counter
+	IntraClusterReadCycles stats.Counter
 	// BytesNeeded classifies inter-cluster read requests by how many
 	// bytes of the line the wavefront needed (Fig 7).
 	BytesNeeded *stats.Histogram
@@ -123,8 +126,7 @@ func (r *RDMA) newPacket(t flit.Type, dst flit.DeviceID, dstGPU int, addr uint64
 		DstCluster: r.topo.ClusterOf(dstGPU),
 		Addr:       addr,
 	})
-	p.TraceID = p.ID
-	p.Span = r.Spans.Start(p.ID, p.TraceID, t.String(), int(r.dev), int(dst), now)
+	p.Span = r.Spans.Start(p.ID, p.ID, t.String(), int(r.dev), int(dst), now)
 	return p
 }
 
@@ -172,11 +174,13 @@ const (
 func (r *RDMA) OnComplete(t *txn.Transaction, f txn.Frame, at sim.Cycle) {
 	switch f.Role {
 	case rdmaRoleReadStats:
-		lat := float64(at - sim.Cycle(f.Arg>>1))
+		lat := int64(at - sim.Cycle(f.Arg>>1))
 		if f.Arg&1 == 1 {
-			r.Stats.InterClusterReadLat.Observe(lat)
+			r.Stats.InterClusterReads.Inc()
+			r.Stats.InterClusterReadCycles.Add(lat)
 		} else {
-			r.Stats.IntraClusterReadLat.Observe(lat)
+			r.Stats.IntraClusterReads.Inc()
+			r.Stats.IntraClusterReadCycles.Add(lat)
 		}
 		t.Complete(at)
 	case rdmaRoleWriteDone:
@@ -390,9 +394,10 @@ func (r *RDMA) dispatch(p *flit.Packet, now sim.Cycle) {
 
 // newResponse builds a response packet routed back to the requester.
 // The request's span ends here (its memory-service stage closes when
-// the response is created) and the response opens a fresh span carrying
-// the same TraceID, so offline analysis can stitch the round trip back
-// together. The requester's transaction rides along on the response.
+// the response is created) and the response opens a fresh span whose
+// trace id is the request packet's ID, so offline analysis can stitch
+// the round trip back together. The requester's transaction rides along
+// on the response.
 func (r *RDMA) newResponse(t flit.Type, req *flit.Packet, now sim.Cycle) *flit.Packet {
 	r.nextID++
 	p := r.pool.NewPacket(flit.Packet{
@@ -405,9 +410,8 @@ func (r *RDMA) newResponse(t flit.Type, req *flit.Packet, now sim.Cycle) *flit.P
 		Addr:       req.Addr,
 		Txn:        req.Txn,
 	})
-	p.TraceID = req.TraceID
 	req.Span.End(now)
-	p.Span = r.Spans.Start(p.ID, p.TraceID, t.String(), int(r.dev), int(req.Src), now)
+	p.Span = r.Spans.Start(p.ID, req.ID, t.String(), int(r.dev), int(req.Src), now)
 	return p
 }
 

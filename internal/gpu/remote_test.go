@@ -79,7 +79,7 @@ func TestRemoteReadRoundTrip(t *testing.T) {
 	if gs[1].RDMA.Stats.ServedReads.Value() != 2 {
 		t.Fatalf("served reads = %d", gs[1].RDMA.Stats.ServedReads.Value())
 	}
-	if gs[0].RDMA.Stats.InterClusterReadLat.Count() != 2 {
+	if gs[0].RDMA.Stats.InterClusterReads.Value() != 2 || gs[0].RDMA.Stats.InterClusterReadCycles.Value() == 0 {
 		t.Fatal("latency not sampled")
 	}
 	// Fig-7 classification: one le16, one le64.

@@ -92,7 +92,7 @@ func (h *HalfLink) Tick(now sim.Cycle) bool {
 		}
 		h.batch = append(h.batch, Staged{F: f, ReadyAt: now + 1 + extra})
 		h.occ++
-		h.st.RecordMove(now, f.OccupiedBytes(), f.Size)
+		h.st.RecordMove(now)
 		moved = true
 	}
 	return moved

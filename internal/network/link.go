@@ -78,7 +78,7 @@ func (l *Link) move(now sim.Cycle, src, dst *Port, rate int, st *stats.LinkStats
 			extra = 0
 		}
 		dst.In.PushAt(f, now+1+extra)
-		st.RecordMove(now, f.OccupiedBytes(), f.Size)
+		st.RecordMove(now)
 		moved = true
 	}
 	return moved

@@ -31,12 +31,3 @@ func NewPort(name string, bufCap int) *Port {
 		Out:  sim.NewQueue[*flit.Flit](bufCap, 1),
 	}
 }
-
-// NextWake returns the earliest cycle either queue has a ready item.
-func (p *Port) NextWake() sim.Cycle {
-	in, out := p.In.NextReady(), p.Out.NextReady()
-	if in < out {
-		return in
-	}
-	return out
-}

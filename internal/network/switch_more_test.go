@@ -159,21 +159,6 @@ func TestLinkNeverExceedsBandwidth(t *testing.T) {
 	}
 }
 
-func TestPortNextWake(t *testing.T) {
-	p := NewPort("p", 4)
-	if p.NextWake() != sim.CycleMax {
-		t.Fatal("idle port has a wake time")
-	}
-	p.In.PushAt(mkFlit(1, 0), 42)
-	if p.NextWake() != 42 {
-		t.Fatalf("NextWake = %d", p.NextWake())
-	}
-	p.Out.PushAt(mkFlit(2, 0), 7)
-	if p.NextWake() != 7 {
-		t.Fatalf("NextWake = %d", p.NextWake())
-	}
-}
-
 func TestBadLinkAndPortRatePanic(t *testing.T) {
 	func() {
 		defer func() { recover() }()

@@ -9,7 +9,7 @@ import (
 // Breakdown aggregates finished spans into a per-packet-type, per-stage
 // latency table: for each type, a histogram of end-to-end latency plus
 // one histogram per lifecycle stage. It backs the summary table
-// netcrafter-sim prints under -spans and bench.BreakdownReport.
+// netcrafter-sim prints under -spans (Table).
 type Breakdown struct {
 	types map[string]*typeAgg
 }
@@ -69,14 +69,6 @@ func (b *Breakdown) Spans(typ string) int64 {
 		return a.total.Count()
 	}
 	return 0
-}
-
-// Total returns the end-to-end latency distribution of one type.
-func (b *Breakdown) Total(typ string) LogBuckets {
-	if a, ok := b.types[typ]; ok {
-		return a.total
-	}
-	return LogBuckets{}
 }
 
 // Stage returns the latency distribution of one stage for one type.

@@ -17,7 +17,8 @@ const logBucketCount = 64
 // count, sum and max, so Mean and Max are exact while quantiles are
 // bucket-resolution estimates (within 2x). The zero value is ready to
 // use. LogBuckets is a value type with no internal locking — embed it
-// in single-threaded samplers, or use Hist for a concurrent instrument.
+// in single-threaded aggregates (Breakdown does), or use Hist for a
+// concurrent instrument.
 type LogBuckets struct {
 	counts [logBucketCount]int64
 	n      int64

@@ -96,39 +96,6 @@ func (r *Registry) Series(name string, window sim.Cycle) *Series {
 	return s
 }
 
-// Metric is one flattened snapshot entry.
-type Metric struct {
-	Name  string
-	Value float64
-}
-
-// Snapshot flattens every instrument into sorted (name, value) pairs.
-// Histograms expand into .count/.mean/.p50/.p90/.p99/.max entries.
-func (r *Registry) Snapshot() []Metric {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Metric
-	for name, f := range r.gaugeFns {
-		out = append(out, Metric{name, f()})
-	}
-	for name, h := range r.hists {
-		b := h.snapshot()
-		out = append(out,
-			Metric{name + ".count", float64(b.Count())},
-			Metric{name + ".mean", b.Mean()},
-			Metric{name + ".p50", b.Quantile(0.50)},
-			Metric{name + ".p90", b.Quantile(0.90)},
-			Metric{name + ".p99", b.Quantile(0.99)},
-			Metric{name + ".max", b.Max()},
-		)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // WriteProm writes a Prometheus-style text snapshot: one
 // "name value" line per metric, with hierarchy dots mapped to
 // underscores and histogram quantiles rendered as labels.

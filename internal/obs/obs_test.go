@@ -29,14 +29,12 @@ func TestRegistryInstruments(t *testing.T) {
 	}
 	r.GaugeFunc("a.b.gauge", func() float64 { return 1 })
 	r.GaugeFunc("a.b.gauge", func() float64 { return 2.5 })
-	var gauges []Metric
-	for _, m := range r.Snapshot() {
-		if m.Name == "a.b.gauge" {
-			gauges = append(gauges, m)
-		}
+	var buf bytes.Buffer
+	if err := r.WriteProm(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if len(gauges) != 1 || gauges[0].Value != 2.5 {
-		t.Fatalf("gauge = %v, want one reading of 2.5", gauges)
+	if out := buf.String(); strings.Count(out, "\na_b_gauge ") != 1 || !strings.Contains(out, "\na_b_gauge 2.5\n") {
+		t.Fatalf("want one gauge reading of 2.5:\n%s", out)
 	}
 }
 
@@ -48,11 +46,9 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	}
 	r.Series("x", 10).Observe(5, 1)
 	r.GaugeFunc("x", func() float64 { return 1 })
-	if got := r.Snapshot(); got != nil {
-		t.Fatalf("nil registry snapshot = %v, want nil", got)
-	}
-	if err := r.WriteProm(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
+	var buf bytes.Buffer
+	if err := r.WriteProm(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("nil registry wrote %q (err %v), want nothing", buf.String(), err)
 	}
 	var h *Hist
 	h.Observe(3)
@@ -310,21 +306,12 @@ func TestWritePromSnapshot(t *testing.T) {
 		"gpu0_l1_misses 7",
 		"net_ctl_latency_count 2",
 		"net_ctl_latency{quantile=\"0.99\"}",
+		"net_ctl_latency_max 1000",
 		"net_wire{window_start=\"0\"} 16",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prom output missing %q:\n%s", want, out)
 		}
-	}
-	snap := r.Snapshot()
-	found := false
-	for _, m := range snap {
-		if m.Name == "net.ctl.latency.max" && m.Value == 1000 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("snapshot missing hist max: %v", snap)
 	}
 }
 
@@ -412,7 +399,6 @@ func TestConcurrentRegistryAndSpans(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			r.Snapshot()
 			_ = r.WriteProm(&bytes.Buffer{})
 			rec.Breakdown()
 		}

@@ -15,7 +15,7 @@ import (
 // under concurrent use and two registries must never share state.
 
 // TestRegistryConcurrentInstruments hammers one registry from many
-// goroutines: creation races (same name), updates, and snapshots all
+// goroutines: creation races (same name), updates, and exports all
 // interleaved.
 func TestRegistryConcurrentInstruments(t *testing.T) {
 	reg := NewRegistry()
@@ -29,7 +29,6 @@ func TestRegistryConcurrentInstruments(t *testing.T) {
 				reg.Series("shared.series", 16).Observe(sim.Cycle(i), 1)
 				reg.GaugeFunc("shared.fn", func() float64 { return 1 })
 				if i%50 == 0 {
-					_ = reg.Snapshot()
 					_ = reg.WriteProm(io.Discard)
 				}
 			}
@@ -71,8 +70,8 @@ func TestRegistryIsolation(t *testing.T) {
 }
 
 // TestGaugeFuncConcurrentSnapshot re-registers pull gauges (last
-// writer wins) while other goroutines snapshot and export the
-// registry, so the function map's lock discipline runs under -race.
+// writer wins) while other goroutines export the registry, so the
+// function map's lock discipline runs under -race.
 // The churned callbacks bump a counter to prove they are invoked, not
 // skipped, during the replacement storm.
 func TestGaugeFuncConcurrentSnapshot(t *testing.T) {
@@ -102,12 +101,13 @@ func TestGaugeFuncConcurrentSnapshot(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				for _, m := range reg.Snapshot() {
-					if m.Name == "stable.fn" && m.Value != 1 {
-						t.Errorf("stable.fn read %v, want 1", m.Value)
-					}
+				var out strings.Builder
+				if err := reg.WriteProm(&out); err != nil {
+					t.Error(err)
 				}
-				_ = reg.WriteProm(io.Discard)
+				if s := out.String(); strings.Contains(s, "stable_fn") && !strings.Contains(s, "\nstable_fn 1\n") {
+					t.Errorf("stable.fn read wrong, want 1:\n%s", s)
+				}
 			}
 		}()
 	}
@@ -115,7 +115,7 @@ func TestGaugeFuncConcurrentSnapshot(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if called == 0 {
-		t.Fatal("churned gauge function never invoked by Snapshot/WriteProm")
+		t.Fatal("churned gauge function never invoked by WriteProm")
 	}
 }
 

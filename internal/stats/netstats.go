@@ -9,11 +9,9 @@ import (
 // busy flit-slots over elapsed capacity, the quantity Fig 4 reports for
 // the inter-GPU-cluster network.
 type LinkStats struct {
-	Name           string
-	FlitsMoved     Counter
-	BytesMoved     Counter // occupied (useful) bytes, excludes padding
-	SlotBytesMoved Counter // flit slots x flit size (includes padding)
-	StallCycles    Counter // cycles a ready flit could not move
+	Name        string
+	FlitsMoved  Counter
+	StallCycles Counter // cycles a ready flit could not move
 	// Track, when non-nil, receives one observation per moved flit and
 	// windows them into the timeline's congestion heatmap. Wired by
 	// cluster.System.AttachObs; nil (the default) is free.
@@ -30,11 +28,9 @@ func NewLinkStats(name string, flitsPerCycle int) *LinkStats {
 }
 
 // RecordMove notes one flit crossing the link at the given cycle.
-func (l *LinkStats) RecordMove(now sim.Cycle, occupiedBytes, slotBytes int) {
+func (l *LinkStats) RecordMove(now sim.Cycle) {
 	l.Track.Observe(now, 1)
 	l.FlitsMoved.Inc()
-	l.BytesMoved.Add(int64(occupiedBytes))
-	l.SlotBytesMoved.Add(int64(slotBytes))
 	if !l.sawActivity || now < l.firstActive {
 		l.firstActive = now
 	}
@@ -83,9 +79,6 @@ type NetStats struct {
 	DataFlits      Counter
 	PooledFlits    Counter // flits that waited on a pooling timer
 	WireBytes      Counter // slot bytes actually ejected on the wire
-	// CtlLatency samples per-flit time spent inside the controller
-	// (cluster queue + pooling buffer), in cycles.
-	CtlLatency Sampler
 }
 
 // NewNetStats returns zeroed network statistics.
@@ -104,8 +97,7 @@ type NetCounter struct {
 }
 
 // Counters lists the traffic counters with their gauge names: the one
-// list that metrics gauges and Merge both walk. CtlLatency is not a
-// counter and is not listed.
+// list that metrics gauges and Merge both walk.
 func (n *NetStats) Counters() []NetCounter {
 	return []NetCounter{
 		{"flits_total", &n.FlitsTotal},
@@ -120,8 +112,7 @@ func (n *NetStats) Counters() []NetCounter {
 	}
 }
 
-// Merge adds o's counters and histograms into n. CtlLatency is not
-// merged.
+// Merge adds o's counters and histograms into n.
 func (n *NetStats) Merge(o *NetStats) {
 	oc := o.Counters()
 	for i, c := range n.Counters() {

@@ -9,8 +9,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"netcrafter/internal/obs"
 )
 
 // Counter is a monotonically increasing count.
@@ -29,64 +27,6 @@ func (c *Counter) Inc() { c.n++ }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n }
-
-// Sampler accumulates scalar observations (e.g. latencies) and exposes
-// count/mean/min/max plus log-bucketed percentile estimates. It does
-// not retain individual samples: distributions live in obs.LogBuckets,
-// so Mean/Min/Max are exact while Percentile is a bucket-resolution
-// estimate (within 2x). Samples are non-negative; negative observations
-// clamp to 0.
-type Sampler struct {
-	b    obs.LogBuckets
-	min  float64
-	some bool
-}
-
-// Observe records one sample.
-func (s *Sampler) Observe(v float64) {
-	if v < 0 {
-		v = 0
-	}
-	s.b.Observe(v)
-	if !s.some || v < s.min {
-		s.min = v
-	}
-	s.some = true
-}
-
-// Count returns the number of samples.
-func (s *Sampler) Count() int64 { return s.b.Count() }
-
-// Mean returns the sample mean (0 with no samples).
-func (s *Sampler) Mean() float64 { return s.b.Mean() }
-
-// Sum returns the total of all samples.
-func (s *Sampler) Sum() float64 { return s.b.Sum() }
-
-// Max returns the largest sample (0 with no samples).
-func (s *Sampler) Max() float64 { return s.b.Max() }
-
-// Min returns the smallest sample (0 with no samples).
-func (s *Sampler) Min() float64 {
-	if !s.some {
-		return 0
-	}
-	return s.min
-}
-
-// Percentile estimates the q-quantile (q in [0,1]) from the
-// log-bucketed distribution; exact at q=1 (the max).
-func (s *Sampler) Percentile(q float64) float64 { return s.b.Quantile(q) }
-
-// P50 estimates the median.
-func (s *Sampler) P50() float64 { return s.Percentile(0.50) }
-
-// P99 estimates the 99th percentile.
-func (s *Sampler) P99() float64 { return s.Percentile(0.99) }
-
-// Buckets returns a copy of the underlying log-bucketed distribution,
-// for merging into obs aggregates.
-func (s *Sampler) Buckets() obs.LogBuckets { return s.b }
 
 // Histogram is a bucketed distribution over named categories. It
 // keeps its counts in a slice beside the bucket names, in first-seen

@@ -24,19 +24,6 @@ func TestCounter(t *testing.T) {
 	c.Add(-1)
 }
 
-func TestSampler(t *testing.T) {
-	var s Sampler
-	if s.Mean() != 0 || s.Max() != 0 || s.Min() != 0 {
-		t.Fatal("empty sampler not zeroed")
-	}
-	for _, v := range []float64{10, 20, 30} {
-		s.Observe(v)
-	}
-	if s.Count() != 3 || s.Mean() != 20 || s.Max() != 30 || s.Min() != 10 || s.Sum() != 60 {
-		t.Fatalf("sampler state wrong: n=%d mean=%f max=%f min=%f", s.Count(), s.Mean(), s.Max(), s.Min())
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram("a", "b")
 	h.Observe("a", 3)
@@ -119,13 +106,10 @@ func TestMeanAndSortedKeys(t *testing.T) {
 func TestLinkStats(t *testing.T) {
 	l := NewLinkStats("x", 2)
 	for c := 0; c < 10; c++ {
-		l.RecordMove(sim.Cycle(10+c), 12, 16)
+		l.RecordMove(sim.Cycle(10 + c))
 	}
 	if u := l.Utilization(100); math.Abs(u-10.0/200.0) > 1e-12 {
 		t.Fatalf("utilization = %f want 0.05", u)
-	}
-	if l.BytesMoved.Value() != 120 || l.SlotBytesMoved.Value() != 160 {
-		t.Fatal("byte accounting wrong")
 	}
 	if l.Utilization(0) != 0 {
 		t.Fatal("zero-window utilization != 0")
@@ -185,7 +169,6 @@ func TestNetStatsMerge(t *testing.T) {
 	b.Occupancy.Observe("full", 3)
 	b.FlitsByType.Observe("ReadRsp", 2)
 	b.BytesByType.Observe("custom", 7)
-	b.CtlLatency.Observe(5)
 	a.Merge(b)
 	a.Merge(b)
 	for i, c := range a.Counters() {
@@ -195,8 +178,5 @@ func TestNetStatsMerge(t *testing.T) {
 	}
 	if a.Occupancy.Get("full") != 6 || a.FlitsByType.Get("ReadRsp") != 4 || a.BytesByType.Get("custom") != 14 {
 		t.Errorf("histograms not merged: %s / %s / %s", a.Occupancy, a.FlitsByType, a.BytesByType)
-	}
-	if a.CtlLatency.Count() != 0 {
-		t.Error("Merge folded CtlLatency, which results do not aggregate")
 	}
 }

@@ -32,10 +32,8 @@ func DefaultGMMUConfig() GMMUConfig {
 
 // GMMUStats counts walker activity.
 type GMMUStats struct {
-	Walks        stats.Counter
-	WalkAccesses stats.Counter // PTE memory reads issued
-	PWCHits      stats.Counter // levels skipped thanks to the PWC
-	WalkLatency  stats.Sampler
+	Walks   stats.Counter
+	PWCHits stats.Counter // levels skipped thanks to the PWC
 }
 
 // pwc is the page walk cache: a small fully-associative cache over
@@ -107,8 +105,8 @@ type GMMU struct {
 	mem   PTEReader
 	sched *sim.Scheduler
 	Stats GMMUStats
-	// ObsWalkLat mirrors Stats.WalkLatency into the metrics registry
-	// when observability is attached; nil costs nothing.
+	// ObsWalkLat, when non-nil, records each walk's start-to-finish
+	// latency into the metrics registry; nil costs nothing.
 	ObsWalkLat *obs.Hist
 
 	active  int
@@ -231,7 +229,6 @@ func (g *GMMU) runSteps(req *walkReq, now sim.Cycle) {
 	}
 	req.t.Push(g, gmmuRoleStep, 0, req)
 	g.mem.ReadPTE(req.t, req.steps[req.idx].Addr, now)
-	g.Stats.WalkAccesses.Inc()
 }
 
 func (g *GMMU) finishWalk(req *walkReq, now sim.Cycle) {
@@ -239,7 +236,6 @@ func (g *GMMU) finishWalk(req *walkReq, now sim.Cycle) {
 	for _, st := range req.steps[1:] {
 		g.pwc.insert(pwcKey{level: st.Level, prefix: prefixOf(req.vpn, st.Level)}, st.NodeAddr)
 	}
-	g.Stats.WalkLatency.Observe(float64(now - req.start))
 	g.ObsWalkLat.Observe(float64(now - req.start))
 	tr, base := req.t, req.base
 	*req = walkReq{next: g.freeReqs}

@@ -3,6 +3,7 @@ package vm
 import (
 	"testing"
 
+	"netcrafter/internal/obs"
 	"netcrafter/internal/sim"
 )
 
@@ -28,6 +29,7 @@ func TestPWCEvictionLRU(t *testing.T) {
 func TestWalkLatencySampled(t *testing.T) {
 	e, g, _, pt, tb := gmmuRig(DefaultGMMUConfig(), 25)
 	pt.Map(0x777, 0x9000, 0)
+	g.ObsWalkLat = obs.NewRegistry().Hist("gmmu.walk_latency_cycles")
 	done := false
 	g.Translate(transReq(tb, 0x777, func(uint64, sim.Cycle) { done = true }), 0)
 	if _, err := e.RunUntil(func() bool { return done }, 10000); err != nil {
@@ -36,9 +38,9 @@ func TestWalkLatencySampled(t *testing.T) {
 	if g.Stats.Walks.Value() != 1 {
 		t.Fatalf("walks = %d", g.Stats.Walks.Value())
 	}
-	if g.Stats.WalkLatency.Count() != 1 || g.Stats.WalkLatency.Mean() < 100 {
+	if g.ObsWalkLat.Count() != 1 || g.ObsWalkLat.Mean() < 100 {
 		t.Fatalf("walk latency not sampled: n=%d mean=%.0f",
-			g.Stats.WalkLatency.Count(), g.Stats.WalkLatency.Mean())
+			g.ObsWalkLat.Count(), g.ObsWalkLat.Mean())
 	}
 }
 

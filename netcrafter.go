@@ -208,8 +208,9 @@ type CommPlan = comm.Plan
 type CommScale = comm.Scale
 
 // CommOptions wires plan execution into a system: the plan's start
-// cycle, and optional latency histogram and timeline dwell sinks.
-// Injection rate and posted-write window are fixed (DESIGN.md §2.13).
+// cycle and an optional timeline dwell sink. Injection rate and
+// posted-write window are fixed (DESIGN.md §2.13); request latencies
+// are in the result, and reach an attached registry after the run.
 type CommOptions = comm.Options
 
 // CommResult is what a communication run measured: makespan, bytes
@@ -254,7 +255,7 @@ func ParseCommTrace(r io.Reader) (*CommPlan, error) { return comm.ParsePlan(r) }
 
 // MetricsRegistry holds named pull gauges, latency histograms and
 // cycle-windowed time series; attach one with System.AttachObs and
-// export it with Snapshot or WriteProm.
+// export it with WriteProm.
 type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry returns an empty registry.
@@ -295,12 +296,6 @@ type ComponentCost = sim.ComponentCost
 func WriteComponentProfile(w io.Writer, costs []ComponentCost) error {
 	return timeline.WriteProfile(w, costs)
 }
-
-// MetricsReport renders a registry snapshot as a Report table.
-func MetricsReport(reg *MetricsRegistry) *Report { return bench.MetricsReport(reg) }
-
-// BreakdownReport renders a latency breakdown as a Report table.
-func BreakdownReport(b *LatencyBreakdown) *Report { return bench.BreakdownReport(b) }
 
 // Report is a regenerated table or figure.
 type Report = bench.Report
