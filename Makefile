@@ -221,15 +221,21 @@ comm-smoke:
 	@grep -q 'p999' /tmp/netcrafter-comm-smoke.txt || \
 		{ echo "comm-smoke: no latency tail reported"; exit 1; }
 
-# End-to-end smoke of the analytic flow backend: a collective through
-# the shipped sim binary, the flow-backend bench sweep writing a
-# manifest tagged "backend": "flow", and the fidelity gate refusing a
-# cycle-only experiment under -backend flow.
+# End-to-end smoke of the analytic flow backend: a collective and an
+# open-loop serving run through the shipped sim binary, checking the
+# bandwidth line and the p999 tail (the serving run drives the flow
+# backend's request accounting, comm.Tracker's), the flow-backend bench
+# sweep writing a manifest tagged "backend": "flow", and the fidelity
+# gate refusing a cycle-only experiment under -backend flow.
 flow-smoke:
 	$(GO) run ./cmd/netcrafter-sim -backend flow -comm ring-allreduce \
 		-scale tiny > /tmp/netcrafter-flow-smoke.txt
+	$(GO) run ./cmd/netcrafter-sim -backend flow -comm serve-poisson \
+		-scale tiny >> /tmp/netcrafter-flow-smoke.txt
 	@grep -q 'busbw=' /tmp/netcrafter-flow-smoke.txt || \
 		{ echo "flow-smoke: no bus bandwidth reported"; exit 1; }
+	@grep -q 'p999' /tmp/netcrafter-flow-smoke.txt || \
+		{ echo "flow-smoke: no latency tail reported"; exit 1; }
 	$(GO) run -race ./cmd/netcrafter-bench -backend flow -exp ext-collective \
 		-scale tiny -parallel 8 -manifest /tmp/netcrafter-flow-smoke.json -q > /dev/null
 	@grep -q '"backend": "flow"' /tmp/netcrafter-flow-smoke.json || \

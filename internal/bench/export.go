@@ -12,43 +12,21 @@ import (
 // This file provides machine-readable report export so regenerated
 // figures can be plotted or diffed outside the simulator.
 
-// jsonReport is the serialized form of a Report.
-type jsonReport struct {
-	ID      string    `json:"id"`
-	Title   string    `json:"title"`
-	Columns []string  `json:"columns"`
-	Rows    []jsonRow `json:"rows"`
-	Notes   string    `json:"notes,omitempty"`
-}
-
-type jsonRow struct {
-	Label  string    `json:"label"`
-	Values []float64 `json:"values"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (r *Report) MarshalJSON() ([]byte, error) {
-	jr := jsonReport{ID: r.ID, Title: r.Title, Columns: r.Columns, Notes: r.Notes}
-	for _, row := range r.Rows {
-		jr.Rows = append(jr.Rows, jsonRow{Label: row.Label, Values: row.Values})
-	}
-	return json.Marshal(jr)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler: a report decodes by its
+// field tags, and a row whose value count differs from the column
+// count is rejected.
 func (r *Report) UnmarshalJSON(data []byte) error {
-	var jr jsonReport
-	if err := json.Unmarshal(data, &jr); err != nil {
+	type plain Report // the same fields without this method
+	var p plain
+	if err := json.Unmarshal(data, &p); err != nil {
 		return err
 	}
-	r.ID, r.Title, r.Columns, r.Notes = jr.ID, jr.Title, jr.Columns, jr.Notes
-	r.Rows = nil
-	for _, row := range jr.Rows {
-		if len(row.Values) != len(jr.Columns) {
-			return fmt.Errorf("bench: row %q has %d values for %d columns", row.Label, len(row.Values), len(jr.Columns))
+	for _, row := range p.Rows {
+		if len(row.Values) != len(p.Columns) {
+			return fmt.Errorf("bench: row %q has %d values for %d columns", row.Label, len(row.Values), len(p.Columns))
 		}
-		r.Rows = append(r.Rows, Row{Label: row.Label, Values: row.Values})
 	}
+	*r = Report(p)
 	return nil
 }
 

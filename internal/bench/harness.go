@@ -110,18 +110,18 @@ func (o Options) withDefaults() Options {
 // Row is one row of a report: a label (usually the workload) plus one
 // value per column.
 type Row struct {
-	Label  string
-	Values []float64
+	Label  string    `json:"label"`
+	Values []float64 `json:"values"`
 }
 
 // Report is the regenerated form of one paper artifact.
 type Report struct {
-	ID      string
-	Title   string
-	Columns []string
-	Rows    []Row
+	ID      string   `json:"id"`
+	Title   string   `json:"title"`
+	Columns []string `json:"columns"`
+	Rows    []Row    `json:"rows"`
 	// Notes carries the expected shape from the paper for comparison.
-	Notes string
+	Notes string `json:"notes,omitempty"`
 }
 
 // AddRow appends a row.

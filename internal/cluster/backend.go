@@ -49,7 +49,9 @@ func (b Backend) Norm() Backend {
 // injectors on the wake-scheduled engine; the flow backend solves the
 // plan analytically on the resolved topology graph without building a
 // system (so observability hooks, which instrument ticked components,
-// do not apply). Both honor the cycle limit and report comm.Result.
+// do not apply, and neither does opt, which wires a run into a built
+// system). Both count the plan through a comm.Tracker, honor the cycle
+// limit and report its comm.Result.
 func RunCommPlan(cfg Config, p *comm.Plan, opt comm.Options, limit sim.Cycle) (*comm.Result, error) {
 	switch cfg.Backend.Norm() {
 	case BackendCycle:
@@ -66,10 +68,7 @@ func RunCommPlan(cfg Config, p *comm.Plan, opt comm.Options, limit sim.Cycle) (*
 		if err != nil {
 			return nil, err
 		}
-		res, err := flow.Run(g, p, flow.Options{
-			FlitBytes: rcfg.GPU.FlitBytes,
-			Start:     opt.Start,
-		}, limit)
+		res, err := flow.Run(g, p, flow.Options{FlitBytes: rcfg.GPU.FlitBytes}, limit)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: comm %s: %w", p.Name, err)
 		}

@@ -61,30 +61,17 @@ func (s *System) RunComm(p *comm.Plan, opt comm.Options, limit sim.Cycle) (*comm
 		s.Engine.Register(name, inj)
 	}
 	s.commRuns++
-	wallStart := s.coord.Wall()
+	wallStart := s.Engine.WallTime()
 	done := []func() bool{func() bool { return tk.Done() && s.AllIdle() }}
 	if _, err := s.coord.RunUntil(done, limit); err != nil {
 		return nil, s.wedged(fmt.Errorf("cluster: comm %s: %w", p.Name, err))
 	}
 	res := tk.Result()
-	res.Wall = s.coord.Wall() - wallStart
+	res.Wall = s.Engine.WallTime() - wallStart
 	for _, l := range res.Latencies {
 		hist.Observe(float64(l))
 	}
 	return res, nil
-}
-
-// RunCommByName generates the named communication program sized for
-// this system (Scale.GPUs 0 means every GPU participates) and runs it.
-func (s *System) RunCommByName(name string, sc comm.Scale, opt comm.Options, limit sim.Cycle) (*comm.Result, error) {
-	if sc.GPUs == 0 {
-		sc.GPUs = len(s.GPUs)
-	}
-	p, err := comm.ByName(name, sc)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunComm(p, opt, limit)
 }
 
 // RunCommOne generates one named communication program sized for cfg's

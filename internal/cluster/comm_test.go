@@ -9,9 +9,23 @@ import (
 	"netcrafter/internal/comm"
 	"netcrafter/internal/obs"
 	"netcrafter/internal/obs/timeline"
+	"netcrafter/internal/sim"
 	"netcrafter/internal/topo"
 	"netcrafter/internal/workload"
 )
+
+// runCommByName generates the named program sized for sys (Scale.GPUs
+// 0 means every GPU participates) and runs it.
+func runCommByName(sys *System, name string, sc comm.Scale, limit sim.Cycle) (*comm.Result, error) {
+	if sc.GPUs == 0 {
+		sc.GPUs = len(sys.GPUs)
+	}
+	p, err := comm.ByName(name, sc)
+	if err != nil {
+		return nil, err
+	}
+	return sys.RunComm(p, comm.Options{}, limit)
+}
 
 // TestRunCommRingAllReduce is the collective acceptance check: a ring
 // all-reduce executes on the baseline system through the real RDMA
@@ -47,7 +61,7 @@ func TestRunCommRingAllReduce(t *testing.T) {
 // request and reports ordered tail percentiles.
 func TestRunCommServeTail(t *testing.T) {
 	sys := mustBuild(t, Baseline())
-	r, err := sys.RunCommByName("serve-poisson", comm.Tiny(), comm.Options{}, testLimit)
+	r, err := runCommByName(sys, "serve-poisson", comm.Tiny(), testLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +119,7 @@ func TestCommReplayMatchesGenerator(t *testing.T) {
 func TestCommDeterministicCycles(t *testing.T) {
 	run := func() *comm.Result {
 		sys := mustBuild(t, Baseline())
-		r, err := sys.RunCommByName("alltoall", comm.Tiny(), comm.Options{}, testLimit)
+		r, err := runCommByName(sys, "alltoall", comm.Tiny(), testLimit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +147,7 @@ func TestCommBytesConservedAcrossTopologies(t *testing.T) {
 		}
 		n := len(sys.GPUs)
 		size := n * perGPUShard // equal line-multiple shards
-		r, err := sys.RunCommByName("ring-allreduce", comm.Scale{Bytes: size, Seed: 1}, comm.Options{}, testLimit)
+		r, err := runCommByName(sys, "ring-allreduce", comm.Scale{Bytes: size, Seed: 1}, testLimit)
 		if err != nil {
 			t.Fatalf("%s: %v", preset, err)
 		}
@@ -152,7 +166,7 @@ func TestRunCommObsWiring(t *testing.T) {
 	reg := obs.NewRegistry()
 	tl := timeline.New(0)
 	sys.AttachObs(reg, nil, tl)
-	r, err := sys.RunCommByName("serve-burst", comm.Tiny(), comm.Options{}, testLimit)
+	r, err := runCommByName(sys, "serve-burst", comm.Tiny(), testLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +175,7 @@ func TestRunCommObsWiring(t *testing.T) {
 		t.Fatalf("histogram saw %d requests, result has %d", h.Count(), r.Requests)
 	}
 	// Second run: unique injector names, back to back on the clock.
-	r2, err := sys.RunCommByName("ring-allreduce", comm.Tiny(), comm.Options{}, testLimit)
+	r2, err := runCommByName(sys, "ring-allreduce", comm.Tiny(), testLimit)
 	if err != nil {
 		t.Fatalf("second comm run on one system: %v", err)
 	}
@@ -174,10 +188,10 @@ func TestRunCommObsWiring(t *testing.T) {
 // TestRunCommRejects: plans that do not fit the system fail up front.
 func TestRunCommRejects(t *testing.T) {
 	sys := mustBuild(t, Baseline())
-	if _, err := sys.RunCommByName("ring-allreduce", comm.Scale{GPUs: 8}, comm.Options{}, testLimit); err == nil {
+	if _, err := runCommByName(sys, "ring-allreduce", comm.Scale{GPUs: 8}, testLimit); err == nil {
 		t.Fatal("8-GPU plan accepted on 4-GPU system")
 	}
-	if _, err := sys.RunCommByName("nope", comm.Tiny(), comm.Options{}, testLimit); err == nil {
+	if _, err := runCommByName(sys, "nope", comm.Tiny(), testLimit); err == nil {
 		t.Fatal("unknown program accepted")
 	}
 }

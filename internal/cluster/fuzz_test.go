@@ -58,6 +58,6 @@ func FuzzBuild(f *testing.F) {
 		}
 		sc := comm.Tiny()
 		sc.Bytes, sc.ChunkBytes = 1<<10, 0
-		_, _ = sys.RunCommByName("ring-allreduce", sc, comm.Options{}, 2_000)
+		_, _ = runCommByName(sys, "ring-allreduce", sc, 2_000)
 	})
 }

@@ -67,7 +67,7 @@ func TestMetricsGoldenTaperComm(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	sys.AttachObs(reg, nil, nil)
-	if _, err := sys.RunCommByName("ring-allreduce", comm.Tiny(), comm.Options{}, testLimit); err != nil {
+	if _, err := runCommByName(sys, "ring-allreduce", comm.Tiny(), testLimit); err != nil {
 		t.Fatal(err)
 	}
 	checkMetricsGolden(t, reg, "metrics_fattree8_ring.prom")

@@ -91,7 +91,7 @@ func TestRunsEmptyTheirPools(t *testing.T) {
 	if n := len(freeIssuers(sys.pools[0])); n != 0 {
 		t.Fatalf("RunWorkload left %d flits and packets on the free lists", n)
 	}
-	if _, err := sys.RunCommByName("ring-allreduce", comm.Tiny(), comm.Options{}, testLimit); err != nil {
+	if _, err := runCommByName(sys, "ring-allreduce", comm.Tiny(), testLimit); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(freeIssuers(sys.pools[0])); n != 0 {

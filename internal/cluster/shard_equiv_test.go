@@ -138,7 +138,7 @@ func TestShardRefusesObservability(t *testing.T) {
 	}
 
 	sys = mustBuild(t, cfg)
-	if _, err := sys.RunCommByName("ring-allreduce", comm.Tiny(), comm.Options{}, 50_000_000); err == nil {
+	if _, err := runCommByName(sys, "ring-allreduce", comm.Tiny(), 50_000_000); err == nil {
 		t.Fatal("sharded comm run was not refused")
 	}
 }

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"slices"
 	"sort"
 
 	"netcrafter/internal/gpu"
@@ -45,7 +46,10 @@ type Options struct {
 }
 
 // Tracker is the shared run state of one executing plan: the global
-// step frontier, per-request completion, and the byte/line totals.
+// step frontier, per-request completion, and the byte/line totals. It
+// is the one record of a plan execution on both backends: the cycle
+// backend's injectors drive it line by line, and the flow solver
+// (internal/flow) drives it send by send.
 type Tracker struct {
 	plan *Plan
 	opt  Options
@@ -75,18 +79,15 @@ type Tracker struct {
 func NewTracker(p *Plan, opt Options) *Tracker {
 	tk := &Tracker{plan: p, opt: opt, last: opt.Start}
 	maxStep := -1
-	for _, s := range p.Sends {
-		if s.Step > maxStep {
-			maxStep = s.Step
-		}
+	for i := range p.Sends {
+		maxStep = max(maxStep, p.Sends[i].Step)
 	}
 	tk.stepLeft = make([]int, maxStep+1)
-	for _, s := range p.Sends {
-		tk.stepLeft[s.Step]++
-	}
 	tk.reqLeft = make([]int, len(p.Requests))
 	tk.latency = make([]sim.Cycle, len(p.Requests))
-	for _, s := range p.Sends {
+	for i := range p.Sends {
+		s := &p.Sends[i]
+		tk.stepLeft[s.Step]++
 		if s.Req >= 0 {
 			tk.reqLeft[s.Req]++
 		}
@@ -102,6 +103,12 @@ func NewTracker(p *Plan, opt Options) *Tracker {
 // past the last step when the plan has drained).
 func (tk *Tracker) Frontier() int { return tk.frontier }
 
+// Steps returns the plan's step count (one past its highest step), and
+// Unacked how many of step st's sends are not yet acknowledged: before
+// the run, all of them.
+func (tk *Tracker) Steps() int         { return len(tk.stepLeft) }
+func (tk *Tracker) Unacked(st int) int { return tk.stepLeft[st] }
+
 // Done reports whether every injector has drained.
 func (tk *Tracker) Done() bool { return tk.injLeft == 0 }
 
@@ -115,10 +122,10 @@ func (tk *Tracker) advance() bool {
 	return moved
 }
 
-// acked records one send fully acknowledged at cycle at: step
+// Acked records one send fully acknowledged at cycle at: step
 // accounting, request completion, and — when the step frontier moves —
 // a wake for every injector that may have been barrier-blocked.
-func (tk *Tracker) acked(s *Send, at sim.Cycle) {
+func (tk *Tracker) Acked(s *Send, at sim.Cycle) {
 	tk.stepLeft[s.Step]--
 	if at > tk.last {
 		tk.last = at
@@ -141,10 +148,11 @@ func (tk *Tracker) acked(s *Send, at sim.Cycle) {
 	}
 }
 
-// issued accounts one line write entering the fabric.
-func (tk *Tracker) issued(bytes int) {
+// Issued accounts bytes of payload entering the fabric as lines line
+// writes.
+func (tk *Tracker) Issued(bytes int, lines int64) {
 	tk.bytes += int64(bytes)
-	tk.lines++
+	tk.lines += lines
 }
 
 // injectorDone marks one injector fully drained.
@@ -172,7 +180,7 @@ func (tk *Tracker) Result() *Result {
 			r.Latencies = append(r.Latencies, l)
 		}
 	}
-	sort.Slice(r.Latencies, func(i, j int) bool { return r.Latencies[i] < r.Latencies[j] })
+	slices.Sort(r.Latencies)
 	return r
 }
 
@@ -257,8 +265,8 @@ func (inj *Injector) Tick(now sim.Cycle) bool {
 		}
 		if s.Src == s.Dst {
 			// Local delivery: no network, complete at issue.
-			inj.tracker.issued(s.Bytes)
-			inj.tracker.acked(s, now)
+			inj.tracker.Issued(s.Bytes, 1)
+			inj.tracker.Acked(s, now)
 			inj.next, inj.offset = inj.next+1, 0
 			budget--
 			busy = true
@@ -279,7 +287,7 @@ func (inj *Injector) Tick(now sim.Cycle) bool {
 		inj.rdma.WriteRemoteTxn(t, now)
 		inj.nextOff += LineBytes
 		inj.inflight++
-		inj.tracker.issued(line)
+		inj.tracker.Issued(line, 1)
 		inj.offset += line
 		budget--
 		busy = true
@@ -329,7 +337,7 @@ func (inj *Injector) OnComplete(t *txn.Transaction, f txn.Frame, at sim.Cycle) {
 	idx := int(f.Arg)
 	inj.ackLeft[idx]--
 	if inj.ackLeft[idx] == 0 {
-		inj.tracker.acked(&inj.sends[idx], at)
+		inj.tracker.Acked(&inj.sends[idx], at)
 	}
 	t.Release()
 	inj.waker.Wake(at + 1)

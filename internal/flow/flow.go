@@ -30,8 +30,10 @@
 // change only when a flow starts (send eligibility: step frontier
 // reached and timestamp arrived), finishes its transmission, or has
 // its last acknowledgment return one path round trip later. Step
-// barriers, request completion and the reported Result mirror
-// comm.Tracker exactly.
+// barriers, request completion and the reported Result are
+// comm.Tracker's: the solver acknowledges each send, at the whole cycle
+// its last acknowledgment returns in, through the same tracker the
+// cycle backend's injectors drive.
 //
 // # What it deliberately does not model
 //
@@ -95,7 +97,7 @@ func (n *Network) Run(p *comm.Plan, limit sim.Cycle) (*comm.Result, error) {
 	if err := s.solve(); err != nil {
 		return nil, err
 	}
-	res := s.result()
+	res := s.tk.Result()
 	res.Wall = time.Since(wallStart)
 	return res, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"netcrafter/internal/comm"
 	"netcrafter/internal/flit"
-	"netcrafter/internal/sim"
 	"netcrafter/internal/topo"
 )
 
@@ -19,8 +18,6 @@ type Options struct {
 	// are rounded up to whole flits exactly as segmentation would
 	// (default flit.DefaultFlitBytes).
 	FlitBytes int
-	// Start is the cycle corresponding to plan time 0.
-	Start sim.Cycle
 }
 
 // hopCycles is the per-switch processing latency added on top of each

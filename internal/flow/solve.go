@@ -18,51 +18,37 @@ const (
 	capEps    = 1e-9  // relative capacity below this counts as exhausted
 )
 
-// Send states.
-const (
-	stWaiting uint8 = iota
-	stActive
-	stSent  // payload fully on the wire, last acknowledgment in flight
-	stAcked // fully acknowledged
-)
-
 // ackEvent is one pending last-acknowledgment arrival.
 type ackEvent struct {
 	at  float64
 	idx int32
 }
 
-// solver is one Run's private state: per-send bookkeeping mirroring
-// comm.Tracker (step frontier, request completion) plus the active
-// flow set and the per-segment scratch of the max-min computation.
+// solver is one Run's private state: the plan's comm.Tracker (step
+// frontier, request completion, byte and line totals, the Result) plus
+// the per-send flow state, the active flow set and the per-segment
+// scratch of the max-min computation.
 type solver struct {
 	n     *Network
 	p     *comm.Plan
-	start float64
+	tk    *comm.Tracker
 	limit float64
 
 	// Per send, indexed like p.Sends.
-	state     []uint8
 	remaining []float64
 	rate      []float64
 	wFwd      []float64 // forward wire bytes per payload byte
 	wRev      []float64 // reverse (ack) wire bytes per payload byte
 	lines     []int64
-	elig      []float64 // earliest eligible time (start + At)
+	elig      []float64 // earliest eligible time (At)
 	legs      []legs    // zero for self-sends
 	frozen    []bool
 
 	// Step machinery: perStep[s] lists step-s send indices sorted by
-	// (eligible time, index); head[s] is the activation cursor.
-	stepLeft []int
-	frontier int
-	perStep  [][]int32
-	head     []int
-
-	// Request completion, mirroring comm.Tracker.
-	reqLeft   []int
-	latency   []float64
-	completed int
+	// (eligible time, index); head[s] is the activation cursor. Steps
+	// up to the tracker's frontier may activate.
+	perStep [][]int32
+	head    []int
 
 	active []int32
 	acks   []ackEvent // min-heap on (at, idx)
@@ -73,12 +59,9 @@ type solver struct {
 	inSeg   []bool
 	touched []int32
 
-	now        float64
-	lastAck    float64
-	acked      int
-	bytes      int64
-	lineWrites int64
-	dirty      bool
+	now   float64
+	acked int
+	dirty bool
 }
 
 func newSolver(n *Network, p *comm.Plan, limit sim.Cycle) *solver {
@@ -86,10 +69,9 @@ func newSolver(n *Network, p *comm.Plan, limit sim.Cycle) *solver {
 	s := &solver{
 		n:     n,
 		p:     p,
-		start: float64(n.opt.Start),
+		tk:    comm.NewTracker(p, comm.Options{}),
 		limit: math.Inf(1),
 
-		state:     make([]uint8, ns),
 		remaining: make([]float64, ns),
 		rate:      make([]float64, ns),
 		wFwd:      make([]float64, ns),
@@ -99,9 +81,6 @@ func newSolver(n *Network, p *comm.Plan, limit sim.Cycle) *solver {
 		legs:      make([]legs, ns),
 		frozen:    make([]bool, ns),
 
-		reqLeft: make([]int, len(p.Requests)),
-		latency: make([]float64, len(p.Requests)),
-
 		sumW:    make([]float64, len(n.cap)),
 		capLeft: make([]float64, len(n.cap)),
 		inSeg:   make([]bool, len(n.cap)),
@@ -109,12 +88,21 @@ func newSolver(n *Network, p *comm.Plan, limit sim.Cycle) *solver {
 	if limit > 0 {
 		s.limit = float64(limit)
 	}
-	s.now, s.lastAck = s.start, s.start
 
-	maxStep := 0
+	// The buckets share one exactly sized backing array, carved by the
+	// tracker's per-step send counts, so one pass over the plan fills
+	// them.
+	s.perStep = make([][]int32, s.tk.Steps())
+	s.head = make([]int, len(s.perStep))
+	flat, lo := make([]int32, ns), 0
+	for st := range s.perStep {
+		c := s.tk.Unacked(st)
+		s.perStep[st] = flat[lo : lo : lo+c]
+		lo += c
+	}
 	for i := range p.Sends {
 		sd := &p.Sends[i]
-		s.elig[i] = s.start + float64(sd.At)
+		s.elig[i] = float64(sd.At)
 		if sd.Src == sd.Dst {
 			// Local delivery: one tracker-accounting unit, no flow.
 			s.lines[i] = 1
@@ -124,31 +112,7 @@ func newSolver(n *Network, p *comm.Plan, limit sim.Cycle) *solver {
 			s.wRev[i] /= float64(sd.Bytes)
 			s.legs[i] = n.legs(sd.Src, sd.Dst)
 		}
-		if sd.Step > maxStep {
-			maxStep = sd.Step
-		}
-		if sd.Req >= 0 {
-			s.reqLeft[sd.Req]++
-		}
-	}
-	for r := range s.latency {
-		s.latency[r] = -1
-	}
-	s.stepLeft = make([]int, maxStep+1)
-	s.perStep = make([][]int32, maxStep+1)
-	s.head = make([]int, maxStep+1)
-	for i := range p.Sends {
-		s.stepLeft[p.Sends[i].Step]++
-	}
-	// The buckets share one exactly sized backing array.
-	flat, lo := make([]int32, ns), 0
-	for st, c := range s.stepLeft {
-		s.perStep[st] = flat[lo : lo : lo+c]
-		lo += c
-	}
-	for i := range p.Sends {
-		st := p.Sends[i].Step
-		s.perStep[st] = append(s.perStep[st], int32(i))
+		s.perStep[sd.Step] = append(s.perStep[sd.Step], int32(i))
 	}
 	for st := range s.perStep {
 		bucket := s.perStep[st]
@@ -164,35 +128,14 @@ func newSolver(n *Network, p *comm.Plan, limit sim.Cycle) *solver {
 			}
 		}
 	}
-	s.advanceFrontier()
 	return s
 }
 
-func (s *solver) advanceFrontier() {
-	for s.frontier < len(s.stepLeft) && s.stepLeft[s.frontier] == 0 {
-		s.frontier++
-	}
-}
-
-// ackSend mirrors comm.Tracker.acked: step accounting, request
-// completion, frontier advance.
+// ackSend acknowledges send i at event time at. The tracker sees whole
+// cycles, as the cycle backend's injectors report them.
 func (s *solver) ackSend(i int32, at float64) {
-	sd := &s.p.Sends[i]
-	s.state[i] = stAcked
 	s.acked++
-	s.stepLeft[sd.Step]--
-	if at > s.lastAck {
-		s.lastAck = at
-	}
-	if sd.Req >= 0 {
-		s.reqLeft[sd.Req]--
-		if s.reqLeft[sd.Req] == 0 {
-			arrived := s.start + float64(s.p.Requests[sd.Req].Arrival)
-			s.latency[sd.Req] = at - arrived
-			s.completed++
-		}
-	}
-	s.advanceFrontier()
+	s.tk.Acked(&s.p.Sends[i], toCycle(at))
 }
 
 // activate starts every send that is eligible now: its step has
@@ -202,7 +145,7 @@ func (s *solver) ackSend(i int32, at float64) {
 func (s *solver) activate() {
 	for {
 		progressed := false
-		for st := 0; st <= s.frontier && st < len(s.perStep); st++ {
+		for st := 0; st <= s.tk.Frontier() && st < len(s.perStep); st++ {
 			for s.head[st] < len(s.perStep[st]) {
 				i := s.perStep[st][s.head[st]]
 				if s.elig[i] > s.now+timeEps {
@@ -211,13 +154,11 @@ func (s *solver) activate() {
 				s.head[st]++
 				progressed = true
 				sd := &s.p.Sends[i]
-				s.bytes += int64(sd.Bytes)
-				s.lineWrites += s.lines[i]
+				s.tk.Issued(sd.Bytes, s.lines[i])
 				if sd.Src == sd.Dst {
 					s.ackSend(i, s.now) // local delivery completes at issue
 					continue
 				}
-				s.state[i] = stActive
 				s.remaining[i] = float64(sd.Bytes)
 				s.active = append(s.active, i)
 				s.dirty = true
@@ -405,7 +346,8 @@ func (s *solver) solve() error {
 				}
 			}
 		}
-		for st := 0; st <= s.frontier && st < len(s.perStep); st++ {
+		frontier := s.tk.Frontier()
+		for st := 0; st <= frontier && st < len(s.perStep); st++ {
 			if h := s.head[st]; h < len(s.perStep[st]) {
 				if e := s.elig[s.perStep[st][h]]; e < t {
 					t = e
@@ -434,7 +376,6 @@ func (s *solver) solve() error {
 		keep := s.active[:0]
 		for _, i := range s.active {
 			if s.remaining[i] <= byteEps {
-				s.state[i] = stSent
 				sd := &s.p.Sends[i]
 				s.pushAck(ackEvent{at: s.now + s.n.rtt(sd.Src, sd.Dst, s.legs[i]), idx: i})
 				s.dirty = true
@@ -460,32 +401,4 @@ func toCycle(x float64) sim.Cycle {
 		return 0
 	}
 	return sim.Cycle(math.Ceil(x - timeEps))
-}
-
-// result assembles the solver's measurements in comm.Result form,
-// field for field what comm.Tracker.Result reports.
-func (s *solver) result() *comm.Result {
-	r := &comm.Result{
-		Plan:       s.p.Name,
-		GPUs:       s.p.GPUs,
-		Sends:      len(s.p.Sends),
-		LineWrites: s.lineWrites,
-		BytesMoved: s.bytes,
-		Cycles:     toCycle(s.lastAck - s.start),
-		Requests:   len(s.p.Requests),
-		Incomplete: len(s.p.Requests) - s.completed,
-	}
-	for _, l := range s.latency {
-		if l >= 0 {
-			r.Latencies = append(r.Latencies, toCycle(l))
-		}
-	}
-	// Latencies were filled in request order; Result wants them sorted
-	// ascending (insertion sort: completion times arrive near-sorted).
-	for i := 1; i < len(r.Latencies); i++ {
-		for j := i; j > 0 && r.Latencies[j] < r.Latencies[j-1]; j-- {
-			r.Latencies[j], r.Latencies[j-1] = r.Latencies[j-1], r.Latencies[j]
-		}
-	}
-	return r
 }

@@ -12,14 +12,15 @@
 //     congestion heatmap — plus per-window event counts (a
 //     controller's ejections, stitches, trims, pooling and
 //     un-stitching).
-//   - State dwells: how long a transaction (identified by its TraceID)
+//   - State dwells: how long a transaction (identified by its ID)
 //     sat in each pipeline state, fed by internal/txn, so a single
 //     request can be followed CU → TLB → DRAM → RDMA → controller.
 //
 // Everything exports as Chrome Trace Event JSON (WriteTrace), loadable
 // in Perfetto or chrome://tracing: one track per component, counter
-// tracks per link/queue, and async spans per TraceID. Heatmap renders
-// the per-link utilization × cycle-window matrix as a terminal report.
+// tracks per link/queue, and async spans per transaction ID. Heatmap
+// renders the per-link utilization × cycle-window matrix as a terminal
+// report.
 //
 // Like the rest of the observability layer, the timeline is free when
 // detached: a nil *Timeline or *Track records nothing and performs zero
@@ -213,7 +214,7 @@ func (tl *Timeline) NewCountTrack(name string, window sim.Cycle) *Track {
 }
 
 // NewDwellTrack registers a dwell track; each Dwell call records one
-// closed interval attributed to an ID (transaction TraceID).
+// closed interval attributed to an ID (a transaction's or a request's).
 func (tl *Timeline) NewDwellTrack(name string) *Track {
 	return tl.newTrack(name, kindDwell, AggSum, 1, 0)
 }

@@ -16,7 +16,7 @@ import (
 //   - windowed tracks → "C" counter events (one sample per window,
 //     with a normalized "util" value when the track has a capacity);
 //   - dwell tracks → "b"/"e" async span pairs keyed by transaction
-//     TraceID, so selecting an id shows the request's whole journey.
+//     ID, so selecting an id shows the request's whole journey.
 //
 // Call Finish before exporting so open slices and partial windows are
 // included. A nil timeline writes an empty (but valid) trace.

@@ -53,7 +53,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"netcrafter/internal/flit"
 	"netcrafter/internal/network"
@@ -209,8 +208,6 @@ type Coordinator struct {
 	busy    [2][]bool
 	idle    [2][]bool
 	nextDue [2][]sim.Cycle
-
-	wall time.Duration
 }
 
 // NewCoordinator creates a coordinator over the given shard engines
@@ -243,11 +240,6 @@ func (c *Coordinator) AddBoundary(name string, from, to int, h *network.HalfLink
 	c.shards[to].ingress = append(c.shards[to].ingress, &ingressState{q: dst, d: d})
 }
 
-// Wall returns the host wall-clock time spent inside RunUntil calls,
-// at any shard count (shard engines stepped by workers never accumulate
-// their own Engine.WallTime).
-func (c *Coordinator) Wall() time.Duration { return c.wall }
-
 // BoundaryFlows returns the cumulative per-direction boundary traffic,
 // or nil when no link crosses shards.
 func (c *Coordinator) BoundaryFlows() []BoundaryFlow {
@@ -274,8 +266,6 @@ func (c *Coordinator) BoundaryFlows() []BoundaryFlow {
 // returns, so the caller owns all simulation state outside the call
 // exactly as with the serial engine.
 func (c *Coordinator) RunUntil(idle []func() bool, limit sim.Cycle) (sim.Cycle, error) {
-	start := time.Now()
-	defer func() { c.wall += time.Since(start) }()
 	n := len(c.shards)
 	if len(idle) != n {
 		return 0, fmt.Errorf("shard: %d idle predicates for %d shards", len(idle), n)

@@ -159,8 +159,8 @@ func TestCoordinatorRunUntilIdle(t *testing.T) {
 
 // TestCoordinatorOneShardIsTheEngine pins the one-shard fast path: the
 // coordinator stops where the engine's own RunUntil stops, with the
-// same verdict, charges the host time to both clocks, and reports no
-// boundary flows.
+// same verdict, charges the host time to the engine's clock, and
+// reports no boundary flows.
 func TestCoordinatorOneShardIsTheEngine(t *testing.T) {
 	serial := sim.NewEngine()
 	serial.Register("cd", &countdown{left: 7})
@@ -174,8 +174,8 @@ func TestCoordinatorOneShardIsTheEngine(t *testing.T) {
 		t.Errorf("one shard stopped at %d after %d rounds (%v), engine at %d after %d (%v)",
 			got, eng.Rounds(), err, want, serial.Rounds(), wantErr)
 	}
-	if eng.WallTime() <= 0 || c.Wall() < eng.WallTime() {
-		t.Errorf("host time: coordinator %v, engine %v; want engine > 0 and coordinator >= engine", c.Wall(), eng.WallTime())
+	if eng.WallTime() <= 0 {
+		t.Errorf("host time: engine %v, want > 0", eng.WallTime())
 	}
 	if flows := c.BoundaryFlows(); flows != nil {
 		t.Errorf("one shard reports boundary flows: %+v", flows)

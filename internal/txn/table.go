@@ -25,7 +25,7 @@ type Table struct {
 	allocated int // transactions ever created; pool high-water mark
 
 	// dwell[s], when non-nil, receives one timeline event per live
-	// transaction leaving state s (keyed by TraceID), so a request's
+	// transaction leaving state s (keyed by its ID), so a request's
 	// full CU → TLB → DRAM → RDMA journey can be followed in a trace
 	// viewer. Wired by SetTimeline; all-nil (the default) costs one
 	// array load per state change.
@@ -63,7 +63,6 @@ func (tb *Table) Acquire(k Kind, now sim.Cycle) *Transaction {
 	}
 	tb.nextID++
 	t.ID = tb.nextID
-	t.TraceID = t.ID
 	t.Kind = k
 	t.VAddr, t.PAddr, t.Base = 0, 0, 0
 	t.Size = 0

@@ -167,7 +167,6 @@ type MemOp struct {
 // transaction currently occupies.
 type Transaction struct {
 	ID        uint64 // unique within the owning table, monotonically assigned
-	TraceID   uint64 // trace identity; defaults to ID
 	Kind      Kind
 	VAddr     uint64
 	PAddr     uint64
@@ -267,7 +266,7 @@ func (t *Transaction) SetState(s State, now sim.Cycle) {
 			t.table.counts[t.state]--
 			if tr := t.table.dwell[t.state]; tr != nil && len(t.hist) > 0 {
 				entered := t.hist[len(t.hist)-1].At
-				tr.Dwell(entered, now-entered, t.TraceID)
+				tr.Dwell(entered, now-entered, t.ID)
 			}
 		}
 		if s != StateFree {

@@ -95,9 +95,6 @@ func TestAcquireResetsState(t *testing.T) {
 	if tr2.State() != StateIssued || len(tr2.History()) != 1 {
 		t.Fatalf("state = %v history = %v", tr2.State(), tr2.History())
 	}
-	if tr2.TraceID != tr2.ID {
-		t.Fatal("TraceID not re-derived from ID")
-	}
 }
 
 func TestReleaseWithPendingFramesPanics(t *testing.T) {
